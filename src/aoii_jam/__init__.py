@@ -5,70 +5,4 @@ policies for budgeted multi-channel jamming, independent numeric oracles for
 every closed form, and a seeded ground-truth simulator.
 """
 
-from .core import (
-    INFINITE,
-    InfiniteThreshold,
-    SteadyStateSummary,
-    SubsystemParams,
-    Threshold,
-    ThresholdPolicy,
-    avg_aat_closed,
-    avg_eaoii_closed,
-    avg_eaoii_no_jam,
-    delivery_probability,
-    eaoii_ladder,
-    eaoii_value,
-    intersection_lambda,
-    lambda_curve,
-    lambda_limit,
-    lambda_seq,
-    optimal_threshold,
-    stationary_pmf,
-    stationary_pmf_no_jam,
-    steady_curves,
-    steady_reward,
-    steady_state_summary,
-    transition_distribution,
-)
-from .oracle import (
-    ConvergenceError,
-    OracleConfig,
-    ThresholdStructureError,
-    ValueIterationResult,
-    avg_numeric,
-    brute_force_threshold,
-    extract_threshold,
-    recommended_state_cap,
-    relative_value_iteration,
-    stationary_pmf_numeric,
-)
-from .sim import (
-    GroundTruthState,
-    RandomJam,
-    RandomMultiJam,
-    SimStats,
-    SubsystemStats,
-    ThresholdJam,
-    WhittleJam,
-    always_jam,
-    batch_standard_error,
-    initial_state,
-    never_jam,
-    simulate_multi,
-    simulate_multi_batch,
-    simulate_single,
-    single_trace,
-    step_subsystem,
-)
-from .whittle import (
-    FleetConfig,
-    IndexStructureError,
-    SubsystemState,
-    indexability_check,
-    select_jam_set,
-    whittle_index_closed,
-    whittle_index_iterative,
-    whittle_table_closed,
-)
-
 __version__ = "0.1.0"

@@ -6,14 +6,22 @@ comment lines echo the resolved configuration so every file documents how
 it was produced. All commands are deterministic for a fixed configuration
 and seed: no timestamps, floats printed with 17 significant digits.
 
+Every option of every subcommand is declared once in ``OPTIONS``. A value
+comes from its flag, else from the same key of the ``--config`` JSON
+object, else from its default, and goes through the option's parser in
+all three cases.
+
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -21,6 +29,7 @@ from . import verify
 from .core import (
     INFINITE,
     SubsystemParams,
+    ThresholdPolicy,
     avg_eaoii_no_jam,
     eaoii_ladder,
     lambda_limit,
@@ -30,7 +39,6 @@ from .core import (
 from .sim import (
     RandomJam,
     RandomMultiJam,
-    ThresholdJam,
     WhittleJam,
     simulate_multi_batch,
     simulate_single,
@@ -39,7 +47,7 @@ from .sim import (
 from .whittle import FleetConfig, whittle_index_iterative, whittle_table_closed
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -67,43 +75,191 @@ def _write_table(stream, config: dict, columns: list[str], rows: list[tuple], fm
         stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as handle:
+            yield handle
 
 
 def _emit(path, config, columns, rows, fmt):
-    stream, close = _open_out(path)
-    try:
+    with _output(path) as stream:
         _write_table(stream, config, columns, rows, fmt)
-    finally:
-        if close:
-            stream.close()
 
 
-def _parse_params(text: str) -> SubsystemParams:
-    parts = text.split(",")
+# --- option parsers ----------------------------------------------------------
+# Each takes a flag value (after argparse's ``type``) or a JSON config value,
+# so a config value must have the JSON type of the converted flag: a number
+# for --horizon, a string for --params.
+
+
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _exactly(kind):
+    """Parser passing through values of ``kind`` only; a bool is not an int."""
+
+    def parse(value):
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+
+    return parse
+
+
+_int, _switch, _text = _exactly(int), _exactly(bool), _exactly(str)
+
+
+def _params(value) -> SubsystemParams:
+    parts = _text(value).split(",")
     if len(parts) != 3:
-        raise ConfigError(f"--params expects 'p,q,r', got {text!r}")
-    try:
-        p, q, r = (float(x) for x in parts)
-        return SubsystemParams(p=p, q=q, r=r)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(f"expected 'p,q,r', got {value!r}")
+    p, q, r = (float(x) for x in parts)
+    return SubsystemParams(p=p, q=q, r=r)
+
+
+def _params_list(value) -> list[SubsystemParams]:
+    if not isinstance(value, list) or not value:
+        raise TypeError(f"expected a non-empty list of 'p,q,r' strings, got {value!r}")
+    return [_params(text) for text in value]
+
+
+def _classes(value) -> list[tuple[SubsystemParams, float]]:
+    classes = []
+    for chunk in _text(value).split(";"):
+        parts = chunk.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"class spec needs 'p,q,r,fraction', got {chunk!r}")
+        p, q, r, frac = (float(x) for x in parts)
+        classes.append((SubsystemParams(p=p, q=q, r=r), frac))
+    total = sum(frac for _, frac in classes)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"class fractions must sum to 1, got {total}")
+    return classes
+
+
+def _int_list(value) -> list[int]:
+    numbers = [int(x) for x in _text(value).split(",") if x != ""]
+    if not numbers:
+        raise ValueError(f"expected comma-separated integers, got {value!r}")
+    return numbers
+
+
+def _m_rule(value) -> str:
+    if _text(value) != "half":
+        int(value)  # a fixed budget
+    return value
+
+
+METHODS = ("closed", "iterative")
+
+
+def _method(value) -> str:
+    if _text(value) not in METHODS:
+        raise ValueError(f"method must be closed or iterative, got {value!r}")
+    return value
+
+
+def _checks(value) -> list[str]:
+    return [x for x in _text(value).split(",") if x]
+
+
+# option -> (parser, default, argparse keywords); a REQUIRED option has no default.
+REQUIRED = object()
+_REAL = {"type": float}
+_INT = {"type": int}
+_PARAMS = {"params": (_params, REQUIRED, {"help": "p,q,r"})}
+_LAMBDA_RANGE = {
+    "lambda-min": (_real, 0.0, _REAL),
+    "lambda-max": (_real, 10.0, _REAL),
+    "lambda-step": (_real, 0.001, _REAL),
+    "full": (_switch, False, {"action": "store_const", "const": True,
+                              "help": "emit every grid point instead of every 10th"}),
+}
+OPTIONS = {
+    "verify": {
+        "checks": (_checks, None, {"help": "comma-separated check names (default all)"}),
+    },
+    "sweep-lambda": {
+        **_PARAMS,
+        **_LAMBDA_RANGE,
+        "horizon": (_int, 1_000_000, _INT),
+        "seed": (_int, 12345, _INT),
+    },
+    "threshold-curve": {**_PARAMS, **_LAMBDA_RANGE},
+    "multi-sim": {
+        "classes": (_classes, REQUIRED, {"help": "p,q,r,fraction;p,q,r,fraction;..."}),
+        "n-list": (_int_list, "4,8,16,24,32,40", {"help": "fleet sizes, e.g. 4,8,16"}),
+        "m-rule": (_m_rule, "half", {"help": "'half' or a fixed integer budget"}),
+        "horizon": (_int, 100_000, _INT),
+        "seeds": (_int_list, "0,1,2,3,4,5,6,7,8,9", {"help": "comma-separated seeds"}),
+    },
+    "whittle-table": {
+        "params": (_params_list, REQUIRED, {"action": "append", "help": "p,q,r (repeatable)"}),
+        "k-max": (_int, 200, _INT),
+        "method": (_method, "closed", {"choices": METHODS}),
+    },
+    "sim": {
+        **_PARAMS,
+        "policy": (_text, "never", {"help": "never|always|threshold:N|threshold:inf|random:P"}),
+        "lambda": (_real, 0.0, _REAL),
+        "horizon": (_int, 100_000, _INT),
+        "seed": (_int, 12345, _INT),
+    },
+}
+
+
+def _load_config(path) -> dict:
+    if path is None:
+        return {}
+    with open(path) as handle:
+        cfg = json.load(handle)
+    if not isinstance(cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return cfg
+
+
+def _resolve(args) -> dict:
+    """Every option of the subcommand: flag, else config key, else default, parsed."""
+    options = OPTIONS[args.command]
+    cfg = _load_config(args.config)
+    unknown = sorted(set(cfg) - set(options))
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}; the keys are the long flag names")
+    resolved = {}
+    for name, (parse, default, _) in options.items():
+        value = getattr(args, name.replace("-", "_"))
+        if value is None:
+            value = cfg.get(name)
+        if value is None:
+            value = default
+        if value is REQUIRED:
+            raise ConfigError(f"--{name} (or a config file) is required")
+        try:
+            resolved[name] = None if value is None else parse(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"--{name}: {exc}") from exc
+    return resolved
 
 
 def _parse_policy(text: str):
     kind, _, arg = text.partition(":")
     try:
         if kind == "never":
-            return ThresholdJam(INFINITE)
+            return ThresholdPolicy(INFINITE)
         if kind == "always":
-            return ThresholdJam(0)
+            return ThresholdPolicy(0)
         if kind == "threshold":
             if arg.lower() in ("inf", "infinite"):
-                return ThresholdJam(INFINITE)
-            return ThresholdJam(int(arg))
+                return ThresholdPolicy(INFINITE)
+            return ThresholdPolicy(int(arg))
         if kind == "random":
             return RandomJam(float(arg))
     except ValueError as exc:
@@ -111,53 +267,25 @@ def _parse_policy(text: str):
     raise ConfigError(f"unknown policy kind {text!r}")
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _parse_classes(text: str) -> list[tuple[SubsystemParams, float]]:
-    classes = []
-    for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"class spec needs 'p,q,r,fraction', got {chunk!r}")
-        p, q, r, frac = (float(x) for x in parts)
-        classes.append((SubsystemParams(p=p, q=q, r=r), frac))
-    total = sum(frac for _, frac in classes)
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"class fractions must sum to 1, got {total}")
-    return classes
-
-
-def _resolve(args, file_cfg: dict, key: str, default):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
-
-
-def _load_config(args) -> dict:
-    if getattr(args, "config", None) is None:
-        return {}
-    with open(args.config) as handle:
-        cfg = json.load(handle)
-    if not isinstance(cfg, dict):
-        raise ConfigError("config file must hold a JSON object")
-    return cfg
-
-
-def _lambda_grid(lo: float, hi: float, step: float) -> np.ndarray:
+def _lambda_grid(opts) -> list[float]:
+    """The lambda grid, every 10th point unless ``full``."""
+    lo, hi, step = opts["lambda-min"], opts["lambda-max"], opts["lambda-step"]
     if step <= 0:
         raise ConfigError("lambda step must be positive")
     if hi < lo:
         raise ConfigError("lambda range is empty")
     count = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(count)
+    grid = lo + step * np.arange(count)
+    return [float(lam) for lam in grid[:: 1 if opts["full"] else 10]]
+
+
+def _header(opts) -> dict:
+    """``#`` header fields: the resolved options with the p,q,r triple split out."""
+    header = {**opts, **asdict(opts["params"])}
+    del header["params"]
+    if "full" in opts:
+        header["decimation"] = 1 if opts["full"] else 10
+    return header
 
 
 def _threshold_cell(policy) -> str:
@@ -165,162 +293,71 @@ def _threshold_cell(policy) -> str:
 
 
 # --- subcommands -----------------------------------------------------------
+# Each takes the parsed arguments and the resolved options; its docstring is
+# its help line.
 
 
-def cmd_verify(args) -> int:
-    file_cfg = _load_config(args)
-    names = _resolve(args, file_cfg, "checks", None)
-    if isinstance(names, str):
-        names = [x for x in names.split(",") if x]
-    report = verify.run_checks(names=names)
-    stream, close = _open_out(args.out)
-    try:
+def cmd_verify(args, opts) -> int:
+    """run the oracle-equivalence suite"""
+    report = verify.run_checks(names=opts["checks"])
+    with _output(args.out) as stream:
         json.dump(report, stream, indent=2, sort_keys=True)
         stream.write("\n")
-    finally:
-        if close:
-            stream.close()
     return 0 if report["passed"] else 1
 
 
-def cmd_sweep_lambda(args) -> int:
-    file_cfg = _load_config(args)
-    params = _require_params(args, file_cfg)
-    lo = _resolve(args, file_cfg, "lambda-min", 0.0)
-    hi = _resolve(args, file_cfg, "lambda-max", 10.0)
-    step = _resolve(args, file_cfg, "lambda-step", 0.001)
-    horizon = int(_resolve(args, file_cfg, "horizon", 1_000_000))
-    seed = int(_resolve(args, file_cfg, "seed", 12345))
-    full = bool(_resolve(args, file_cfg, "full", False))
-    grid = _lambda_grid(lo, hi, step)
-    keep = np.arange(len(grid)) if full else np.arange(0, len(grid), 10)
-
+def cmd_sweep_lambda(args, opts) -> int:
+    """reward vs jamming cost sweep"""
+    params, horizon, seed = opts["params"], opts["horizon"], opts["seed"]
+    grid = _lambda_grid(opts)
     baseline = simulate_single(params, RandomJam(0.5), 0.0, horizon, seed)
-    cache: dict = {}
+    runs: dict = {}
     rows = []
-    for i in keep:
-        lam = float(grid[i])
+    for lam in grid:
         policy = optimal_threshold(params, lam)
-        key = policy.threshold if policy.is_finite else "INF"
-        if key not in cache:
-            cache[key] = simulate_single(params, ThresholdJam(policy.threshold), 0.0, horizon, seed)
-        stats = cache[key]
-        closed = (
-            steady_reward(params, policy.threshold, lam)
-            if policy.is_finite
-            else avg_eaoii_no_jam(params)
-        )
-        rows.append(
-            (
-                lam,
-                closed,
-                stats.avg_eaoii - lam * stats.avg_aat,
-                baseline.avg_eaoii - lam * baseline.avg_aat,
-                _threshold_cell(policy),
-            )
-        )
-    config = {
-        "command": "sweep-lambda",
-        "p": params.p,
-        "q": params.q,
-        "r": params.r,
-        "lambda-min": lo,
-        "lambda-max": hi,
-        "lambda-step": step,
-        "horizon": horizon,
-        "seed": seed,
-        "full": full,
-        "decimation": 1 if full else 10,
-    }
-    columns = [
-        "lambda",
-        "optimal_reward_closed",
-        "optimal_reward_sim",
-        "random_reward_sim",
-        "threshold_n",
-    ]
+        if policy not in runs:
+            runs[policy] = simulate_single(params, policy, 0.0, horizon, seed)
+        stats = runs[policy]
+        if policy.is_finite:
+            closed = steady_reward(params, policy.threshold, lam)
+        else:
+            closed = avg_eaoii_no_jam(params)
+        rows.append((lam, closed, stats.avg_eaoii - lam * stats.avg_aat,
+                     baseline.avg_eaoii - lam * baseline.avg_aat, _threshold_cell(policy)))
+    config = {"command": "sweep-lambda", **_header(opts)}
+    columns = ["lambda", "optimal_reward_closed", "optimal_reward_sim", "random_reward_sim",
+               "threshold_n"]
     _emit(args.out, config, columns, rows, args.format)
     return 0
 
 
-def cmd_threshold_curve(args) -> int:
-    file_cfg = _load_config(args)
-    params = _require_params(args, file_cfg)
-    lo = _resolve(args, file_cfg, "lambda-min", 0.0)
-    hi = _resolve(args, file_cfg, "lambda-max", 10.0)
-    step = _resolve(args, file_cfg, "lambda-step", 0.001)
-    full = bool(_resolve(args, file_cfg, "full", False))
-    grid = _lambda_grid(lo, hi, step)
-    keep = np.arange(len(grid)) if full else np.arange(0, len(grid), 10)
-    rows = [
-        (float(grid[i]), _threshold_cell(optimal_threshold(params, float(grid[i]))))
-        for i in keep
-    ]
-    config = {
-        "command": "threshold-curve",
-        "p": params.p,
-        "q": params.q,
-        "r": params.r,
-        "lambda-min": lo,
-        "lambda-max": hi,
-        "lambda-step": step,
-        "full": full,
-        "decimation": 1 if full else 10,
-        "lambda-limit": lambda_limit(params),
-    }
+def cmd_threshold_curve(args, opts) -> int:
+    """optimal threshold vs jamming cost"""
+    params = opts["params"]
+    rows = [(lam, _threshold_cell(optimal_threshold(params, lam))) for lam in _lambda_grid(opts)]
+    config = {"command": "threshold-curve", **_header(opts), "lambda-limit": lambda_limit(params)}
     _emit(args.out, config, ["lambda", "threshold_n"], rows, args.format)
     return 0
 
 
-def cmd_multi_sim(args) -> int:
-    file_cfg = _load_config(args)
-    classes_text = _resolve(args, file_cfg, "classes", None)
-    if classes_text is None:
-        raise ConfigError("--classes (or a config file) is required")
-    classes = (
-        _parse_classes(classes_text) if isinstance(classes_text, str) else [
-            (SubsystemParams(p=c["p"], q=c["q"], r=c["r"]), c["fraction"]) for c in classes_text
-        ]
-    )
-    n_list = _resolve(args, file_cfg, "n-list", "4,8,16,24,32,40")
-    n_values = _parse_int_list(n_list) if isinstance(n_list, str) else [int(x) for x in n_list]
-    m_rule = str(_resolve(args, file_cfg, "m-rule", "half"))
-    horizon = int(_resolve(args, file_cfg, "horizon", 100_000))
-    seeds_text = _resolve(args, file_cfg, "seeds", "0,1,2,3,4,5,6,7,8,9")
-    seeds = _parse_int_list(seeds_text) if isinstance(seeds_text, str) else [int(x) for x in seeds_text]
-    if not seeds:
-        raise ConfigError("at least one seed is required")
-
-    def budget_for(n: int) -> int:
-        if m_rule == "half":
-            return n // 2
-        try:
-            return int(m_rule)
-        except ValueError as exc:
-            raise ConfigError(f"unknown m-rule {m_rule!r}") from exc
-
+def cmd_multi_sim(args, opts) -> int:
+    """fleet comparison: index policy vs random"""
+    classes, horizon, seeds = opts["classes"], opts["horizon"], opts["seeds"]
+    m_rule = opts["m-rule"]
     rows = []
-    for n_total in n_values:
-        fleet = FleetConfig.from_classes(classes, n_total, budget_for(n_total))
-        whittle_runs = simulate_multi_batch(fleet, WhittleJam(fleet.budget), horizon, seeds)
-        random_runs = simulate_multi_batch(fleet, RandomMultiJam(fleet.budget), horizon, seeds)
-        w_vals = np.array([s.avg_true_aoii for s in whittle_runs])
-        r_vals = np.array([s.avg_true_aoii for s in random_runs])
-        rows.append(
-            (
-                n_total,
-                float(w_vals.mean()),
-                _seed_stderr(w_vals),
-                float(r_vals.mean()),
-                _seed_stderr(r_vals),
-            )
-        )
+    for n_total in opts["n-list"]:
+        budget = n_total // 2 if m_rule == "half" else int(m_rule)
+        fleet = FleetConfig.from_classes(classes, n_total, budget)
+        row = [n_total]
+        for policy in (WhittleJam, RandomMultiJam):
+            runs = simulate_multi_batch(fleet, policy(fleet.budget), horizon, seeds)
+            values = np.array([s.avg_true_aoii for s in runs])
+            row += [float(values.mean()), _seed_stderr(values)]
+        rows.append(tuple(row))
     config = {
         "command": "multi-sim",
-        "classes": ";".join(
-            f"{c.p},{c.q},{c.r},{frac}" for c, frac in classes
-        ),
-        "n-list": ",".join(str(n) for n in n_values),
+        "classes": ";".join(f"{c.p},{c.q},{c.r},{frac}" for c, frac in classes),
+        "n-list": ",".join(str(n) for n in opts["n-list"]),
         "m-rule": m_rule,
         "horizon": horizon,
         "seeds": ",".join(str(s) for s in seeds),
@@ -337,132 +374,47 @@ def _seed_stderr(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
-def cmd_whittle_table(args) -> int:
-    file_cfg = _load_config(args)
-    params_list = args.params or file_cfg.get("params")
-    if not params_list:
-        raise ConfigError("at least one --params triple is required")
-    parsed = [
-        _parse_params(text) if isinstance(text, str) else SubsystemParams(**text)
-        for text in params_list
-    ]
-    k_max = int(_resolve(args, file_cfg, "k-max", 200))
-    method = str(_resolve(args, file_cfg, "method", "closed"))
-    if method not in ("closed", "iterative"):
-        raise ConfigError(f"method must be closed or iterative, got {method!r}")
+def cmd_whittle_table(args, opts) -> int:
+    """per-state priority index table"""
+    k_max = opts["k-max"]
+    build = whittle_table_closed if opts["method"] == "closed" else whittle_index_iterative
     rows = []
-    for sub_id, params in enumerate(parsed):
-        if method == "closed":
-            table = whittle_table_closed(params, k_max)
-        else:
-            table = whittle_index_iterative(params, k_max)
+    for sub_id, params in enumerate(opts["params"]):
+        table = build(params, k_max)
         ladder = eaoii_ladder(params, k_max + 1)
         for k in range(k_max + 1):
             rows.append((sub_id, k, float(ladder[k]), float(table[k])))
     config = {
         "command": "whittle-table",
-        "params": ";".join(f"{p.p},{p.q},{p.r}" for p in parsed),
+        "params": ";".join(f"{p.p},{p.q},{p.r}" for p in opts["params"]),
         "k-max": k_max,
-        "method": method,
+        "method": opts["method"],
     }
     _emit(args.out, config, ["subsystem_id", "k", "s_k", "W"], rows, args.format)
     return 0
 
 
-def cmd_sim(args) -> int:
-    file_cfg = _load_config(args)
-    params = _require_params(args, file_cfg)
-    policy_text = str(_resolve(args, file_cfg, "policy", "never"))
-    policy = _parse_policy(policy_text)
-    lam = float(_resolve(args, file_cfg, "lam", file_cfg.get("lambda", 0.0)))
-    horizon = int(_resolve(args, file_cfg, "horizon", 100_000))
-    seed = int(_resolve(args, file_cfg, "seed", 12345))
-    stats = simulate_single(params, policy, lam, horizon, seed)
-    config = {
-        "command": "sim",
-        "p": params.p,
-        "q": params.q,
-        "r": params.r,
-        "policy": policy_text,
-        "lambda": lam,
-        "horizon": horizon,
-        "seed": seed,
-    }
-    columns = [
-        "slots",
-        "seed",
-        "lambda",
-        "avg_reward",
-        "avg_eaoii",
-        "avg_true_aoii",
-        "avg_aat",
-        "se_reward",
-        "se_eaoii",
-        "se_true_aoii",
-        "se_aat",
-    ]
-    row = (
-        stats.slots,
-        stats.seed,
-        stats.lam,
-        stats.avg_reward,
-        stats.avg_eaoii,
-        stats.avg_true_aoii,
-        stats.avg_aat,
-        stats.se_reward,
-        stats.se_eaoii,
-        stats.se_true_aoii,
-        stats.se_aat,
-    )
-    _emit(args.out, config, columns, [row], args.format)
+def cmd_sim(args, opts) -> int:
+    """ad-hoc single-source simulation"""
+    params, horizon, seed = opts["params"], opts["horizon"], opts["seed"]
+    policy = _parse_policy(opts["policy"])
+    stats = simulate_single(params, policy, opts["lambda"], horizon, seed)
+    config = {"command": "sim", **_header(opts)}
+    fields = ["slots", "seed", "lam", "avg_reward", "avg_eaoii", "avg_true_aoii", "avg_aat",
+              "se_reward", "se_eaoii", "se_true_aoii", "se_aat"]
+    columns = ["lambda" if name == "lam" else name for name in fields]
+    _emit(args.out, config, columns, [tuple(getattr(stats, name) for name in fields)], args.format)
     if args.trace is not None:
         trace = single_trace(params, policy, horizon, seed)
-        trace_rows = [
-            (
-                int(trace["slot"][t]),
-                0,
-                int(trace["age_index"][t]),
-                int(trace["true_aoii"][t]),
-                bool(trace["jammed"][t]),
-                bool(trace["delivered"][t]),
-            )
-            for t in range(horizon)
-        ]
+        columns = ["slot", "subsystem_id", "age_index", "true_aoii", "jammed", "delivered"]
+        rows = zip(trace["slot"].tolist(), [0] * horizon,
+                   *(trace[name].tolist() for name in columns[2:]))
         with open(args.trace, "w") as handle:
-            _write_table(
-                handle,
-                config,
-                ["slot", "subsystem_id", "age_index", "true_aoii", "jammed", "delivered"],
-                trace_rows,
-                "csv",
-            )
+            _write_table(handle, config, columns, rows, "csv")
     return 0
 
 
-def _require_params(args, file_cfg) -> SubsystemParams:
-    text = _resolve(args, file_cfg, "params", None)
-    if text is None:
-        raise ConfigError("--params p,q,r (or a config file) is required")
-    if isinstance(text, str):
-        return _parse_params(text)
-    return SubsystemParams(**text)
-
-
 # --- argument parsing ------------------------------------------------------
-
-
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--out", default=None, help="output file (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-def _add_lambda_range(sub):
-    sub.add_argument("--lambda-min", type=float, dest="lambda_min")
-    sub.add_argument("--lambda-max", type=float, dest="lambda_max")
-    sub.add_argument("--lambda-step", type=float, dest="lambda_step")
-    sub.add_argument("--full", action="store_const", const=True, default=None,
-                     help="emit every grid point instead of every 10th")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,64 +423,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Jamming-policy analysis against AoII-based monitoring",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("verify", help="run the oracle-equivalence suite")
-    _add_common(sub)
-    sub.add_argument("--checks", help="comma-separated check names (default all)")
-    sub.set_defaults(func=cmd_verify)
-
-    sub = subs.add_parser("sweep-lambda", help="reward vs jamming cost sweep")
-    _add_common(sub)
-    sub.add_argument("--params", help="p,q,r")
-    _add_lambda_range(sub)
-    sub.add_argument("--horizon", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.set_defaults(func=cmd_sweep_lambda)
-
-    sub = subs.add_parser("threshold-curve", help="optimal threshold vs jamming cost")
-    _add_common(sub)
-    sub.add_argument("--params", help="p,q,r")
-    _add_lambda_range(sub)
-    sub.set_defaults(func=cmd_threshold_curve)
-
-    sub = subs.add_parser("multi-sim", help="fleet comparison: index policy vs random")
-    _add_common(sub)
-    sub.add_argument("--classes", help="p,q,r,fraction;p,q,r,fraction;...")
-    sub.add_argument("--n-list", dest="n_list", help="fleet sizes, e.g. 4,8,16")
-    sub.add_argument("--m-rule", dest="m_rule", help="'half' or a fixed integer budget")
-    sub.add_argument("--horizon", type=int)
-    sub.add_argument("--seeds", help="comma-separated seeds")
-    sub.set_defaults(func=cmd_multi_sim)
-
-    sub = subs.add_parser("whittle-table", help="per-state priority index table")
-    _add_common(sub)
-    sub.add_argument("--params", action="append", help="p,q,r (repeatable)")
-    sub.add_argument("--k-max", type=int, dest="k_max")
-    sub.add_argument("--method", choices=("closed", "iterative"))
-    sub.set_defaults(func=cmd_whittle_table)
-
-    sub = subs.add_parser("sim", help="ad-hoc single-source simulation")
-    _add_common(sub)
-    sub.add_argument("--params", help="p,q,r")
-    sub.add_argument("--policy", help="never|always|threshold:N|threshold:inf|random:P")
-    sub.add_argument("--lambda", type=float, dest="lam")
-    sub.add_argument("--horizon", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--trace", help="also write a per-slot trace CSV to this path")
-    sub.set_defaults(func=cmd_sim)
-
+    for command, options in OPTIONS.items():
+        handler = globals()["cmd_" + command.replace("-", "_")]
+        sub = subs.add_parser(command, help=handler.__doc__)
+        sub.add_argument("--config", help="JSON config file; flags override its values")
+        sub.add_argument("--out", help="output file (default stdout)")
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
+        for name, (_, _, keywords) in options.items():
+            sub.add_argument("--" + name, **keywords)
+        if command == "sim":
+            sub.add_argument("--trace", help="also write a per-slot trace CSV to this path")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        return handler(args, _resolve(args))
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

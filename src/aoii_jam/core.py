@@ -23,6 +23,7 @@ All functions are pure and deterministic; there is no shared mutable state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,19 +34,16 @@ __all__ = [
     "INFINITE",
     "Threshold",
     "ThresholdPolicy",
-    "SteadyStateSummary",
     "eaoii_value",
     "eaoii_ladder",
     "delivery_probability",
     "transition_distribution",
     "stationary_pmf",
-    "stationary_pmf_no_jam",
     "avg_eaoii_closed",
     "avg_aat_closed",
     "avg_eaoii_no_jam",
     "steady_curves",
     "steady_reward",
-    "steady_state_summary",
     "lambda_seq",
     "lambda_curve",
     "lambda_limit",
@@ -98,9 +96,6 @@ INFINITE = InfiniteThreshold()
 
 Threshold = int | InfiniteThreshold
 
-# Ages are plain nonnegative ints throughout the package.
-AgeIndex = int
-
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
@@ -121,19 +116,11 @@ class ThresholdPolicy:
     def is_finite(self) -> bool:
         return not isinstance(self.threshold, InfiniteThreshold)
 
-    def jams(self, age: int) -> bool:
-        if not self.is_finite:
-            return False
-        return age >= self.threshold
 
-
-@dataclass(frozen=True)
-class SteadyStateSummary:
-    """Steady-state quantities of one finite threshold policy."""
-
-    avg_eaoii: float
-    avg_aat: float
-    lambda_n: float
+def _check_cost(lam: float) -> None:
+    """Reject a jamming cost that is negative, NaN or infinite."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
 
 
 def _check_age(k: int) -> int:
@@ -207,8 +194,8 @@ def stationary_pmf(params: SubsystemParams, n, i: int) -> float:
 
     Below the threshold the chain loses mass geometrically at rate 1-p per
     step; at and above it, at rate 1 - p(1-q). The atom at 0 is
-    p(1-q) / (1 - q + q (1-p)^n). Rejects INFINITE (see
-    ``stationary_pmf_no_jam`` for the q-free geometric law).
+    p(1-q) / (1 - q + q (1-p)^n). Rejects INFINITE; with q = 0 the law
+    is the never-jam geometric p (1-p)^i for every n.
     """
     n = _finite_threshold(n)
     i = _check_age(i)
@@ -221,12 +208,6 @@ def stationary_pmf(params: SubsystemParams, n, i: int) -> float:
     if i <= n:
         return a**i * u0
     return a**n * b ** (i - n) * u0
-
-
-def stationary_pmf_no_jam(params: SubsystemParams, i: int) -> float:
-    """Stationary age law when the adversary never jams: geometric(p)."""
-    i = _check_age(i)
-    return params.p * (1.0 - params.p) ** i
 
 
 def _tail_transform(a: float, b: float, n, beta):
@@ -405,8 +386,7 @@ def optimal_threshold(params: SubsystemParams, lam: float) -> ThresholdPolicy:
     threshold (both tie in reward; the convention keeps the map
     deterministic).
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    _check_cost(lam)
     if lam >= lambda_limit(params):
         return ThresholdPolicy(INFINITE)
     if lam <= lambda_seq(params, 0):
@@ -423,13 +403,3 @@ def optimal_threshold(params: SubsystemParams, lam: float) -> ThresholdPolicy:
         else:
             hi = mid
     return ThresholdPolicy(hi)
-
-
-def steady_state_summary(params: SubsystemParams, n) -> SteadyStateSummary:
-    """Bundle the three steady-state closed forms of one finite threshold."""
-    n = _finite_threshold(n)
-    return SteadyStateSummary(
-        avg_eaoii=avg_eaoii_closed(params, n),
-        avg_aat=avg_aat_closed(params, n),
-        lambda_n=lambda_seq(params, n),
-    )

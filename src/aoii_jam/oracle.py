@@ -18,7 +18,7 @@ from .core import (
     INFINITE,
     SubsystemParams,
     ThresholdPolicy,
-    avg_eaoii_no_jam,
+    _check_cost,
     delivery_probability,
     eaoii_ladder,
     lambda_limit,
@@ -118,8 +118,7 @@ def relative_value_iteration(
     below the tolerance; the average reward is read off the midpoint of the
     final difference bounds.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    _check_cost(lam)
     cap = cfg.state_cap
     p = params.p
     pj = delivery_probability(params, True)
@@ -272,8 +271,7 @@ def brute_force_threshold(
     window was too small to contain the maximizer, which is an error rather
     than an answer.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    _check_cost(lam)
     if lam >= lambda_limit(params):
         return ThresholdPolicy(INFINITE)
     sbar, dbar = steady_curves(params, n_max)
@@ -284,8 +282,3 @@ def brute_force_threshold(
             f"below lambda_limit={lambda_limit(params):.6g})"
         )
     return ThresholdPolicy(best)
-
-
-def no_jam_reward(params: SubsystemParams) -> float:
-    """Steady reward of the never-jam policy (no attack-time cost)."""
-    return avg_eaoii_no_jam(params)

@@ -18,28 +18,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    INFINITE,
-    InfiniteThreshold,
     SubsystemParams,
-    Threshold,
+    ThresholdPolicy,
+    _check_cost,
     delivery_probability,
     eaoii_ladder,
 )
-from .whittle import FleetConfig, whittle_table_closed
+from .whittle import FleetConfig, jam_mask, whittle_table_closed
 
 __all__ = [
-    "GroundTruthState",
-    "ThresholdJam",
     "RandomJam",
     "WhittleJam",
     "RandomMultiJam",
     "PolicySpec",
-    "always_jam",
-    "never_jam",
     "SubsystemStats",
     "SimStats",
-    "initial_state",
-    "step_subsystem",
     "simulate_single",
     "single_trace",
     "simulate_multi",
@@ -51,19 +44,6 @@ __all__ = [
 _TABLE_SIZE = 4096
 
 _CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class ThresholdJam:
-    """Jam exactly when the observed age is at least ``threshold``."""
-
-    threshold: Threshold
-
-    def __post_init__(self):
-        if isinstance(self.threshold, InfiniteThreshold):
-            return
-        if self.threshold < 0:
-            raise ValueError(f"threshold must be >= 0 or INFINITE, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -91,71 +71,7 @@ class RandomMultiJam:
     budget: int
 
 
-PolicySpec = ThresholdJam | RandomJam | WhittleJam | RandomMultiJam
-
-
-def always_jam() -> ThresholdJam:
-    return ThresholdJam(0)
-
-
-def never_jam() -> ThresholdJam:
-    return ThresholdJam(INFINITE)
-
-
-@dataclass(frozen=True)
-class GroundTruthState:
-    """Full state of one subsystem, including what the adversary cannot see.
-
-    The current slot is implicit: slot = last_delivery_slot + age_index.
-    """
-
-    source_state: int
-    monitor_estimate: int
-    last_delivery_slot: int
-    last_agreement_slot: int
-    age_index: int
-
-    @property
-    def slot(self) -> int:
-        return self.last_delivery_slot + self.age_index
-
-    @property
-    def true_aoii(self) -> int:
-        return self.slot - self.last_agreement_slot
-
-
-def initial_state() -> GroundTruthState:
-    """Start in agreement with a fresh delivery: age 0, true AoII 0."""
-    return GroundTruthState(0, 0, 0, 0, 0)
-
-
-def step_subsystem(
-    state: GroundTruthState,
-    params: SubsystemParams,
-    jammed: bool,
-    draws: tuple[float, float],
-) -> GroundTruthState:
-    """Advance one slot given the committed jam decision and two uniforms.
-
-    The first draw resolves the source flip (probability r), the second the
-    delivery (probability p, or p(1-q) when jammed). On delivery the
-    estimate becomes the new source state and the age resets; otherwise the
-    age grows. The agreement clock moves to the new slot whenever source and
-    estimate coincide after the update.
-    """
-    u_flip, u_deliver = draws
-    now = state.slot + 1
-    source = state.source_state ^ int(u_flip < params.r)
-    if u_deliver < delivery_probability(params, jammed):
-        estimate = source
-        age = 0
-        last_delivery = now
-    else:
-        estimate = state.monitor_estimate
-        age = state.age_index + 1
-        last_delivery = state.last_delivery_slot
-    last_agreement = now if source == estimate else state.last_agreement_slot
-    return GroundTruthState(source, estimate, last_delivery, last_agreement, age)
+PolicySpec = ThresholdPolicy | RandomJam | WhittleJam | RandomMultiJam
 
 
 @dataclass(frozen=True)
@@ -216,7 +132,7 @@ def single_trace(
         raise ValueError("horizon must be positive")
     if isinstance(policy, (WhittleJam, RandomMultiJam)):
         raise ValueError("multi-source policy kind rejected for a single-source run")
-    if not isinstance(policy, (ThresholdJam, RandomJam)):
+    if not isinstance(policy, (ThresholdPolicy, RandomJam)):
         raise TypeError(f"unsupported policy {policy!r}")
 
     sub_seq, pol_seq = np.random.SeedSequence(seed).spawn(2)
@@ -230,7 +146,7 @@ def single_trace(
         jam_prob = policy.jam_prob
         n = None
     else:
-        n = None if isinstance(policy.threshold, InfiniteThreshold) else int(policy.threshold)
+        n = int(policy.threshold) if policy.is_finite else None
 
     p = params.p
     r = params.r
@@ -304,6 +220,7 @@ def simulate_single(
     current age minus lam when jamming; the true AoII is tracked from the
     simulated source for the tower-property checks.
     """
+    _check_cost(lam)
     trace = single_trace(params, policy, horizon, seed)
     ladder = eaoii_ladder(params, int(trace["age_index"].max()) + 1)
     eaoii = ladder[trace["age_index"]]
@@ -343,8 +260,8 @@ def simulate_multi_batch(
     Results are identical to running each seed alone: every seed derives its
     own per-subsystem and policy streams, so the batch grouping only changes
     speed. Exactly ``budget`` channels are jammed each slot (an index-ranked
-    set for the Whittle policy, a uniform random set for the baseline); the
-    budget is asserted every slot.
+    set for the Whittle policy, a uniform random set for the baseline); a
+    slot that jams any other number raises ``RuntimeError``.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -396,18 +313,18 @@ def simulate_multi_batch(
                 u_flip[s, :, i] = sub_rngs[s][i].random(chunk)
                 u_deliver[s, :, i] = sub_rngs[s][i].random(chunk)
         if not whittle_mode:
-            u_keys = np.empty((n_seeds, chunk, n_sub))
+            # The baseline jams the channels with the lowest uniform keys.
+            neg_keys = np.empty((n_seeds, chunk, n_sub))
             for s in range(n_seeds):
-                u_keys[s] = pol_rngs[s].random((chunk, n_sub))
+                neg_keys[s] = -pol_rngs[s].random((chunk, n_sub))
         for j in range(chunk):
             if whittle_mode:
-                current = index_tables[col, np.minimum(age, _TABLE_SIZE - 1)]
-                order = np.argsort(-current, axis=1, kind="stable")
+                mask = jam_mask(index_tables[col, np.minimum(age, _TABLE_SIZE - 1)], budget)
             else:
-                order = np.argsort(u_keys[:, j, :], axis=1)
-            mask = np.zeros((n_seeds, n_sub), dtype=bool)
-            np.put_along_axis(mask, order[:, :budget], True, axis=1)
-            assert int(mask.sum(axis=1).max()) <= budget
+                mask = jam_mask(neg_keys[:, j, :], budget)
+            jammed = mask.sum(axis=1)
+            if (jammed != budget).any():
+                raise RuntimeError(f"jammed {jammed.tolist()} channels, budget {budget}")
 
             b_idx = (t * n_batches) // horizon
             s_now = ladders[col, np.minimum(age, _TABLE_SIZE - 1)]
@@ -417,7 +334,7 @@ def simulate_multi_batch(
             sum_jam += mask
             batch_eaoii[:, b_idx] += s_now.sum(axis=1)
             batch_true[:, b_idx] += true_now.sum(axis=1)
-            batch_jam[:, b_idx] += mask.sum(axis=1)
+            batch_jam[:, b_idx] += jammed
             batch_len[b_idx] += 1
 
             x ^= u_flip[:, j, :] < r_vec

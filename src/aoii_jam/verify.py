@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from . import core, oracle, whittle
+from .oracle import _tail_mass
 
 # Grid knobs kept module-level so the acceptance suite and the CLI agree.
 RVI_PARAMS = [(0.9, 0.9, 0.1), (0.5, 0.6, 0.3)]
@@ -121,13 +122,6 @@ def _pmf_cap(params, n, target=1e-10) -> int:
         return n + 10
     steps = math.ceil(math.log(target * (1.0 - b)) / math.log(b))
     return n + max(steps, 20)
-
-
-def _tail_mass(params, n, cap) -> float:
-    b = 1.0 - core.delivery_probability(params, True)
-    if b == 0.0:
-        return 0.0
-    return core.stationary_pmf(params, n, cap) * b / (1.0 - b)
 
 
 def check_stationary_vs_power_iteration(grid) -> CheckResult:
@@ -454,30 +448,30 @@ def check_rvi_consistency(grid) -> CheckResult:
 
 
 def check_select_jam_set(grid) -> CheckResult:
-    """Budgeted selection equals sort-by-(index desc, id asc) prefix."""
+    """The fleet simulator's vectorized selection equals ``select_jam_set``.
+
+    Channels draw (params, age) from small pools, so equal index values,
+    and with them the lower-id tie-break, occur in most fleets.
+    """
     state = _fresh()
     rng = np.random.default_rng(7)
     pool = [params for params in grid if params.q > 0.0]
     for _ in range(40):
         size = int(rng.integers(1, 13))
-        fleet = [
-            whittle.SubsystemState(
-                subsystem_id=i,
-                params=pool[int(rng.integers(0, len(pool)))],
-                age=int(rng.integers(0, 30)),
-            )
-            for i in range(size)
-        ]
+        kinds = [pool[int(i)] for i in rng.integers(0, len(pool), size=3)]
+        channel_params = [kinds[int(i)] for i in rng.integers(0, 3, size=size)]
+        ages = rng.integers(0, 6, size=(4, size))
         budget = int(rng.integers(0, size + 1))
-        got = whittle.select_jam_set(fleet, budget)
-        ranked = sorted(
-            fleet,
-            key=lambda s: (-whittle.whittle_index_closed(s.params, s.age), s.subsystem_id),
-        )
-        expected = {s.subsystem_id for s in ranked[:budget]}
-        if got != expected:
-            state["failed"] = True
-            state["witness"] = {"fleet_size": size, "budget": budget}
+        tables = np.array([whittle.whittle_table_closed(params, 5) for params in channel_params])
+        masks = whittle.jam_mask(tables[np.arange(size), ages], budget)
+        for lane, mask in zip(ages, masks):
+            fleet = [
+                whittle.SubsystemState(subsystem_id=i, params=params, age=int(age))
+                for i, (params, age) in enumerate(zip(channel_params, lane))
+            ]
+            if whittle.select_jam_set(fleet, budget) != set(np.flatnonzero(mask).tolist()):
+                state["failed"] = True
+                state["witness"] = {"fleet_size": size, "budget": budget, "ages": lane.tolist()}
     return _result("select_jam_set_vs_sort", 0.0, state)
 
 

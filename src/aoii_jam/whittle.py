@@ -32,6 +32,7 @@ __all__ = [
     "whittle_index_iterative",
     "indexability_check",
     "select_jam_set",
+    "jam_mask",
 ]
 
 # Extra states scanned past the requested table when hunting each infimum.
@@ -212,3 +213,14 @@ def select_jam_set(fleet: list[SubsystemState], budget: int) -> set[int]:
         key=lambda sub: (-whittle_index_closed(sub.params, sub.age), sub.subsystem_id),
     )
     return {sub.subsystem_id for sub in ranked[:budget]}
+
+
+def jam_mask(scores: np.ndarray, budget: int) -> np.ndarray:
+    """Mask of the ``budget`` highest scores in each row of a (lanes, channels) array.
+
+    Ties go to the lower column, matching ``select_jam_set`` on index values.
+    """
+    order = np.argsort(-scores, axis=1, kind="stable")
+    mask = np.zeros(scores.shape, dtype=bool)
+    mask[np.arange(len(scores))[:, None], order[:, :budget]] = True
+    return mask

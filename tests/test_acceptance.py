@@ -36,7 +36,6 @@ from aoii_jam.oracle import (
 from aoii_jam.sim import (
     RandomJam,
     RandomMultiJam,
-    ThresholdJam,
     WhittleJam,
     simulate_multi_batch,
     simulate_single,
@@ -236,13 +235,13 @@ def test_criterion_07_reward_sweep_plateau():
     beyond = lams > limit
     assert beyond.sum() > 500
     assert np.all(closed[beyond] == plateau)
-    nojam = simulate_single(REF, ThresholdJam(INFINITE), 0.0, horizon, seed)
+    nojam = simulate_single(REF, ThresholdPolicy(INFINITE), 0.0, horizon, seed)
     assert abs(nojam.avg_eaoii - plateau) <= 3.0 * nojam.se_eaoii
 
     # Spot corroboration of the optimal curve at a few distinct thresholds
     # (higher ones attack too rarely to observe in a million slots).
     for n in (0, 2, 5):
-        stats = simulate_single(REF, ThresholdJam(n), 0.0, horizon, seed)
+        stats = simulate_single(REF, ThresholdPolicy(n), 0.0, horizon, seed)
         assert abs(stats.avg_eaoii - avg_eaoii_closed(REF, n)) <= 4 * stats.se_eaoii
         assert abs(stats.avg_aat - avg_aat_closed(REF, n)) <= 4 * stats.se_aat
     _report(
@@ -257,7 +256,7 @@ def test_criterion_08_ergodic_consistency():
     started = time.perf_counter()
     horizon, seed = 1_000_000, 424242
     for n in (0, 2, 5):
-        trace = single_trace(REF, ThresholdJam(n), horizon, seed)
+        trace = single_trace(REF, ThresholdPolicy(n), horizon, seed)
         ages = trace["age_index"]
         top = int(ages.max())
         counts = np.bincount(ages, minlength=top + 1) / horizon
@@ -265,7 +264,7 @@ def test_criterion_08_ergodic_consistency():
         tv = 0.5 * (np.abs(counts - law).sum() + max(1.0 - law.sum(), 0.0))
         assert tv < 0.01, (n, tv)
 
-        stats = simulate_single(REF, ThresholdJam(n), 0.0, horizon, seed)
+        stats = simulate_single(REF, ThresholdPolicy(n), 0.0, horizon, seed)
         assert abs(stats.avg_eaoii - avg_eaoii_closed(REF, n)) <= 3 * stats.se_eaoii
         assert abs(stats.avg_aat - avg_aat_closed(REF, n)) <= 3 * stats.se_aat
         assert abs(stats.avg_true_aoii - avg_eaoii_closed(REF, n)) <= 3 * stats.se_true_aoii

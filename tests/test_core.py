@@ -19,12 +19,11 @@ from aoii_jam.core import (
     lambda_seq,
     optimal_threshold,
     stationary_pmf,
-    stationary_pmf_no_jam,
     steady_curves,
     steady_reward,
-    steady_state_summary,
     transition_distribution,
 )
+from aoii_jam.sim import single_trace
 
 from exact import ExactRewardCurve, exact_intersection, exact_lambda
 
@@ -62,13 +61,17 @@ class TestParams:
 
 class TestThresholdPolicy:
     def test_jam_rule(self):
-        policy = ThresholdPolicy(3)
-        assert [policy.jams(k) for k in range(5)] == [False, False, False, True, True]
+        trace = single_trace(SubsystemParams(0.3, 0.5, 0.1), ThresholdPolicy(3), 2_000, seed=1)
+        ages = trace["age_index"]
+        assert set(range(5)) <= set(ages.tolist())
+        assert np.array_equal(trace["jammed"], ages >= 3)
 
     def test_infinite_never_jams(self):
         policy = ThresholdPolicy(INFINITE)
         assert not policy.is_finite
-        assert not any(policy.jams(k) for k in (0, 5, 10**6))
+        trace = single_trace(SubsystemParams(0.3, 0.5, 0.1), policy, 2_000, seed=1)
+        assert trace["age_index"].max() >= 5
+        assert not trace["jammed"].any()
         assert repr(INFINITE) == "INFINITE"
 
     def test_negative_rejected(self):
@@ -151,9 +154,12 @@ class TestStationaryPmf:
         assert stationary_pmf(REF, ThresholdPolicy(2), 0) == stationary_pmf(REF, 2, 0)
 
     def test_no_jam_law(self):
-        params = SubsystemParams(0.9, 0.9, 0.1)
-        total = sum(stationary_pmf_no_jam(params, i) for i in range(300))
-        assert total == pytest.approx(1.0, abs=1e-12)
+        # Without jamming power every threshold gives the geometric law p(1-p)^i.
+        params = SubsystemParams(0.9, 0.0, 0.1)
+        for n in (0, 3):
+            law = [stationary_pmf(params, n, i) for i in range(300)]
+            assert law == pytest.approx([0.9 * 0.1**i for i in range(300)], rel=1e-12, abs=0.0)
+            assert sum(law) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(params=params_st, n=st.integers(0, 10))
@@ -208,12 +214,6 @@ class TestAverages:
         for n in range(31):
             assert sbar[n] == pytest.approx(avg_eaoii_closed(REF, n), rel=1e-13)
             assert dbar[n] == pytest.approx(avg_aat_closed(REF, n), rel=1e-13)
-
-    def test_summary_bundle(self):
-        summary = steady_state_summary(REF, 2)
-        assert summary.avg_eaoii == avg_eaoii_closed(REF, 2)
-        assert summary.avg_aat == avg_aat_closed(REF, 2)
-        assert summary.lambda_n == lambda_seq(REF, 2)
 
 
 class TestLambdaSequence:

@@ -1,29 +1,27 @@
 import numpy as np
 import pytest
 
+import aoii_jam.sim as sim_mod
 from aoii_jam.core import (
+    INFINITE,
     SubsystemParams,
+    ThresholdPolicy,
     avg_aat_closed,
     avg_eaoii_closed,
     stationary_pmf,
 )
 from aoii_jam.sim import (
-    GroundTruthState,
     RandomJam,
     RandomMultiJam,
-    ThresholdJam,
     WhittleJam,
-    always_jam,
     batch_standard_error,
-    initial_state,
-    never_jam,
     simulate_multi,
     simulate_multi_batch,
     simulate_single,
     single_trace,
-    step_subsystem,
 )
 from aoii_jam.whittle import FleetConfig
+from reference import GroundTruthState, initial_state, step_subsystem
 
 REF = SubsystemParams(p=0.9, q=0.9, r=0.1)
 TWO_CLASS = FleetConfig(
@@ -71,26 +69,26 @@ class TestStepSubsystem:
 
 class TestSingleSource:
     def test_reproducible(self):
-        a = simulate_single(REF, ThresholdJam(2), 1.0, 20_000, seed=42)
-        b = simulate_single(REF, ThresholdJam(2), 1.0, 20_000, seed=42)
+        a = simulate_single(REF, ThresholdPolicy(2), 1.0, 20_000, seed=42)
+        b = simulate_single(REF, ThresholdPolicy(2), 1.0, 20_000, seed=42)
         assert a == b
-        c = simulate_single(REF, ThresholdJam(2), 1.0, 20_000, seed=43)
+        c = simulate_single(REF, ThresholdPolicy(2), 1.0, 20_000, seed=43)
         assert c != a
 
     def test_never_jams(self):
-        stats = simulate_single(REF, never_jam(), 0.0, 5_000, seed=1)
+        stats = simulate_single(REF, ThresholdPolicy(INFINITE), 0.0, 5_000, seed=1)
         assert stats.avg_aat == 0.0
 
     def test_never_jam_true_aoii_matches_no_jam_average(self):
         from aoii_jam.core import avg_eaoii_no_jam
 
-        stats = simulate_single(REF, never_jam(), 0.0, 300_000, seed=6)
+        stats = simulate_single(REF, ThresholdPolicy(INFINITE), 0.0, 300_000, seed=6)
         target = avg_eaoii_no_jam(REF)
         assert abs(stats.avg_true_aoii - target) < 4 * stats.se_true_aoii
         assert abs(stats.avg_eaoii - target) < 4 * stats.se_eaoii
 
     def test_always_jams(self):
-        stats = simulate_single(REF, always_jam(), 0.0, 5_000, seed=1)
+        stats = simulate_single(REF, ThresholdPolicy(0), 0.0, 5_000, seed=1)
         assert stats.avg_aat == 1.0
 
     def test_random_policy_rate(self):
@@ -98,7 +96,7 @@ class TestSingleSource:
         assert stats.avg_aat == pytest.approx(0.5, abs=0.01)
 
     def test_reward_is_eaoii_minus_cost(self):
-        stats = simulate_single(REF, ThresholdJam(1), 2.0, 10_000, seed=9)
+        stats = simulate_single(REF, ThresholdPolicy(1), 2.0, 10_000, seed=9)
         assert stats.avg_reward == pytest.approx(stats.avg_eaoii - 2.0 * stats.avg_aat, abs=1e-12)
 
     def test_multi_policy_rejected(self):
@@ -111,7 +109,7 @@ class TestSingleSource:
         # Replay the exact uniforms through the pure one-slot primitive and
         # require the fast loop to agree slot for slot.
         horizon, seed = 1_500, 77
-        policy = ThresholdJam(2)
+        policy = ThresholdPolicy(2)
         trace = single_trace(REF, policy, horizon, seed)
         sub_seq, _ = np.random.SeedSequence(seed).spawn(2)
         rng = np.random.default_rng(sub_seq)
@@ -127,13 +125,13 @@ class TestSingleSource:
             assert trace["delivered"][t] == (state.age_index == 0)
 
     def test_ergodic_means_near_closed_forms(self):
-        stats = simulate_single(REF, ThresholdJam(2), 0.0, 200_000, seed=11)
+        stats = simulate_single(REF, ThresholdPolicy(2), 0.0, 200_000, seed=11)
         assert abs(stats.avg_eaoii - avg_eaoii_closed(REF, 2)) < 4 * stats.se_eaoii
         assert abs(stats.avg_aat - avg_aat_closed(REF, 2)) < 4 * stats.se_aat
         assert abs(stats.avg_true_aoii - avg_eaoii_closed(REF, 2)) < 4 * stats.se_true_aoii
 
     def test_age_occupancy_near_stationary_law(self):
-        trace = single_trace(REF, ThresholdJam(2), 200_000, seed=13)
+        trace = single_trace(REF, ThresholdPolicy(2), 200_000, seed=13)
         ages = trace["age_index"]
         top = int(ages.max())
         counts = np.bincount(ages, minlength=top + 1) / len(ages)
@@ -160,9 +158,14 @@ class TestMultiSource:
         stats = simulate_multi(TWO_CLASS, RandomMultiJam(2), 4_000, seed=3)
         assert stats.avg_aat == pytest.approx(2 / 4, abs=1e-12)
 
+    def test_budget_violation_raises(self, monkeypatch):
+        monkeypatch.setattr(sim_mod, "jam_mask", lambda scores, budget: scores < -1.0)
+        with pytest.raises(RuntimeError, match="budget 2"):
+            simulate_multi(TWO_CLASS, WhittleJam(2), 10, seed=0)
+
     def test_single_policy_rejected(self):
         with pytest.raises(ValueError):
-            simulate_multi(TWO_CLASS, ThresholdJam(2), 100, seed=0)
+            simulate_multi(TWO_CLASS, ThresholdPolicy(2), 100, seed=0)
 
     def test_budget_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -184,7 +187,7 @@ class TestMultiSource:
     def test_unjammed_fleet_matches_single_never(self):
         fleet = FleetConfig(subsystems=(REF, REF), budget=0)
         multi = simulate_multi(fleet, WhittleJam(0), 150_000, seed=8)
-        single = simulate_single(REF, never_jam(), 0.0, 150_000, seed=8)
+        single = simulate_single(REF, ThresholdPolicy(INFINITE), 0.0, 150_000, seed=8)
         assert multi.avg_aat == 0.0
         tol = 4 * np.hypot(multi.se_true_aoii, single.se_true_aoii)
         assert abs(multi.avg_true_aoii - single.avg_true_aoii) < tol

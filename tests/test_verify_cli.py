@@ -213,9 +213,26 @@ class TestCliCommands:
         ]
         assert len(lines) - header_idx - 1 == 500
 
-    def test_invalid_params_exit_code(self, tmp_path):
+    def test_invalid_params_exit_code(self, tmp_path, capsys):
         assert run_cli("sim", "--params", "2.0,0.9,0.1", "--horizon", "10") == 2
         assert run_cli("sweep-lambda") == 2
+        assert run_cli("threshold-curve", "--params", "0.9,0.9,0.1", "--lambda-max", "inf") == 2
+        assert run_cli("sim", "--params", "0.9,0.9,0.1", "--lambda", "nan", "--horizon", "10") == 2
+        configs = {
+            "threshold-curve": '{"params": "0.9,0.9,0.1", "lambda-min": "0.5"}',
+            "sim": '{"params": "0.9,0.9,0.1", "horizon": Infinity}',
+        }
+        for command, text in configs.items():
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(text)
+            assert run_cli(command, "--config", str(cfg)) == 2
+        # Config keys are the long flag names; anything else is rejected.
+        cfg = tmp_path / "lam.json"
+        cfg.write_text('{"params": "0.9,0.9,0.1", "lam": 1.0}')
+        assert run_cli("sim", "--config", str(cfg), "--horizon", "10") == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 7
+        assert all(line.startswith("error: ") for line in errors)
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
