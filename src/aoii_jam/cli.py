@@ -30,6 +30,7 @@ from .core import (
     INFINITE,
     SubsystemParams,
     ThresholdPolicy,
+    _check_cost,
     avg_eaoii_no_jam,
     eaoii_ladder,
     lambda_limit,
@@ -43,6 +44,8 @@ from .sim import (
     simulate_multi_batch,
     simulate_single,
     single_trace,
+    standard_error,
+    summarize_trace,
 )
 from .whittle import FleetConfig, whittle_index_iterative, whittle_table_closed
 
@@ -267,6 +270,10 @@ def _parse_policy(text: str):
     raise ConfigError(f"unknown policy kind {text!r}")
 
 
+# Largest lambda grid, before decimation: 80 MB of float64.
+MAX_GRID_POINTS = 10_000_000
+
+
 def _lambda_grid(opts) -> list[float]:
     """The lambda grid, every 10th point unless ``full``."""
     lo, hi, step = opts["lambda-min"], opts["lambda-max"], opts["lambda-step"]
@@ -274,7 +281,11 @@ def _lambda_grid(opts) -> list[float]:
         raise ConfigError("lambda step must be positive")
     if hi < lo:
         raise ConfigError("lambda range is empty")
-    count = int(round((hi - lo) / step)) + 1
+    steps = (hi - lo) / step  # inf when the quotient overflows
+    count = round(steps) + 1 if steps < MAX_GRID_POINTS else math.inf
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"--lambda-step: the grid from --lambda-min to --lambda-max would have "
+                          f"{steps + 1:.10g} points, more than {MAX_GRID_POINTS}")
     grid = lo + step * np.arange(count)
     return [float(lam) for lam in grid[:: 1 if opts["full"] else 10]]
 
@@ -310,11 +321,11 @@ def cmd_sweep_lambda(args, opts) -> int:
     """reward vs jamming cost sweep"""
     params, horizon, seed = opts["params"], opts["horizon"], opts["seed"]
     grid = _lambda_grid(opts)
+    policies = [optimal_threshold(params, lam) for lam in grid]
     baseline = simulate_single(params, RandomJam(0.5), 0.0, horizon, seed)
     runs: dict = {}
     rows = []
-    for lam in grid:
-        policy = optimal_threshold(params, lam)
+    for lam, policy in zip(grid, policies):
         if policy not in runs:
             runs[policy] = simulate_single(params, policy, 0.0, horizon, seed)
         stats = runs[policy]
@@ -349,10 +360,10 @@ def cmd_multi_sim(args, opts) -> int:
         budget = n_total // 2 if m_rule == "half" else int(m_rule)
         fleet = FleetConfig.from_classes(classes, n_total, budget)
         row = [n_total]
-        for policy in (WhittleJam, RandomMultiJam):
-            runs = simulate_multi_batch(fleet, policy(fleet.budget), horizon, seeds)
+        for policy in (WhittleJam(), RandomMultiJam()):
+            runs = simulate_multi_batch(fleet, policy, horizon, seeds)
             values = np.array([s.avg_true_aoii for s in runs])
-            row += [float(values.mean()), _seed_stderr(values)]
+            row += [float(values.mean()), standard_error(values)]
         rows.append(tuple(row))
     config = {
         "command": "multi-sim",
@@ -366,12 +377,6 @@ def cmd_multi_sim(args, opts) -> int:
     columns = ["N", "whittle_avg_aoii", "whittle_stderr", "random_avg_aoii", "random_stderr"]
     _emit(args.out, config, columns, rows, args.format)
     return 0
-
-
-def _seed_stderr(values: np.ndarray) -> float:
-    if len(values) < 2:
-        return float("nan")
-    return float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
 def cmd_whittle_table(args, opts) -> int:
@@ -396,16 +401,17 @@ def cmd_whittle_table(args, opts) -> int:
 
 def cmd_sim(args, opts) -> int:
     """ad-hoc single-source simulation"""
-    params, horizon, seed = opts["params"], opts["horizon"], opts["seed"]
+    params, lam, horizon, seed = opts["params"], opts["lambda"], opts["horizon"], opts["seed"]
     policy = _parse_policy(opts["policy"])
-    stats = simulate_single(params, policy, opts["lambda"], horizon, seed)
+    _check_cost(lam)  # before the slot loop, not after it
+    trace = single_trace(params, policy, horizon, seed)
+    stats = summarize_trace(params, trace, lam, seed)
     config = {"command": "sim", **_header(opts)}
     fields = ["slots", "seed", "lam", "avg_reward", "avg_eaoii", "avg_true_aoii", "avg_aat",
               "se_reward", "se_eaoii", "se_true_aoii", "se_aat"]
     columns = ["lambda" if name == "lam" else name for name in fields]
     _emit(args.out, config, columns, [tuple(getattr(stats, name) for name in fields)], args.format)
     if args.trace is not None:
-        trace = single_trace(params, policy, horizon, seed)
         columns = ["slot", "subsystem_id", "age_index", "true_aoii", "jammed", "delivered"]
         rows = zip(trace["slot"].tolist(), [0] * horizon,
                    *(trace[name].tolist() for name in columns[2:]))

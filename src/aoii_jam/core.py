@@ -222,21 +222,29 @@ def _tail_transform(a: float, b: float, n, beta):
     return beta * (1.0 - c ** (n + 1)) / (1.0 - c) + (c**n) * beta * e / (1.0 - e)
 
 
-def avg_eaoii_closed(params: SubsystemParams, n) -> float:
-    """Long-run average EAoII under the finite threshold n.
+def _steady_averages(params: SubsystemParams, n):
+    """(average EAoII, jammed fraction) of threshold n; scalar or numpy array ``n``.
 
-    Derived by summing the s_k ladder against the stationary law: the
-    constant 1/(2r) term contributes the full mass, and each geometric
-    component of s_k telescopes through ``_tail_transform``. Validated
-    against the truncated-sum oracle in the test suite.
+    The EAoII sums the s_k ladder against the stationary law: the constant
+    1/(2r) term contributes the full mass, and each geometric component of
+    s_k telescopes through ``_tail_transform``. The jammed fraction is the
+    stationary mass at or above the threshold.
     """
-    n = _finite_threshold(n)
     p, q, r = params.p, params.q, params.r
     a = 1.0 - p
     b = 1.0 - p * (1.0 - q)
-    u0 = p * (1.0 - q) / (1.0 - q + q * a**n)
+    an = a**n
+    u0 = p * (1.0 - q) / (1.0 - q + q * an)
     body = _tail_transform(a, b, n, 1.0 - 2.0 * r) - 2.0 * _tail_transform(a, b, n, 1.0 - r)
-    return (1.0 + u0 * body) / (2.0 * r)
+    return (1.0 + u0 * body) / (2.0 * r), an / (1.0 - q + q * an)
+
+
+def avg_eaoii_closed(params: SubsystemParams, n) -> float:
+    """Long-run average EAoII under the finite threshold n.
+
+    Validated against the truncated-sum oracle in the test suite.
+    """
+    return _steady_averages(params, _finite_threshold(n))[0]
 
 
 def avg_aat_closed(params: SubsystemParams, n) -> float:
@@ -245,10 +253,7 @@ def avg_aat_closed(params: SubsystemParams, n) -> float:
     Equals (1-p)^n / (1 - q + q (1-p)^n): the stationary mass at or above
     the threshold. Strictly decreasing in n; equal to 1 at n = 0.
     """
-    n = _finite_threshold(n)
-    p, q = params.p, params.q
-    a = 1.0 - p
-    return a**n / (1.0 - q + q * a**n)
+    return _steady_averages(params, _finite_threshold(n))[1]
 
 
 def avg_eaoii_no_jam(params: SubsystemParams) -> float:
@@ -265,22 +270,13 @@ def steady_curves(params: SubsystemParams, n_max: int) -> tuple[np.ndarray, np.n
     """Vectorized (avg_eaoii, avg_aat) over thresholds n = 0 .. n_max."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    p, q, r = params.p, params.q, params.r
-    a = 1.0 - p
-    b = 1.0 - p * (1.0 - q)
-    ns = np.arange(n_max + 1, dtype=np.float64)
-    an = a**ns
-    u0 = p * (1.0 - q) / (1.0 - q + q * an)
-    body = _tail_transform(a, b, ns, 1.0 - 2.0 * r) - 2.0 * _tail_transform(a, b, ns, 1.0 - r)
-    sbar = (1.0 + u0 * body) / (2.0 * r)
-    dbar = an / (1.0 - q + q * an)
-    return sbar, dbar
+    return _steady_averages(params, np.arange(n_max + 1, dtype=np.float64))
 
 
 def steady_reward(params: SubsystemParams, n, lam: float) -> float:
     """Steady-state adversary reward of threshold n at jamming cost lam."""
-    n = _finite_threshold(n)
-    return avg_eaoii_closed(params, n) - lam * avg_aat_closed(params, n)
+    sbar, dbar = _steady_averages(params, _finite_threshold(n))
+    return sbar - lam * dbar
 
 
 def lambda_limit(params: SubsystemParams) -> float:

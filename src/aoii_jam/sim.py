@@ -35,8 +35,9 @@ __all__ = [
     "SimStats",
     "simulate_single",
     "single_trace",
-    "simulate_multi",
+    "summarize_trace",
     "simulate_multi_batch",
+    "standard_error",
     "batch_standard_error",
 ]
 
@@ -59,16 +60,12 @@ class RandomJam:
 
 @dataclass(frozen=True)
 class WhittleJam:
-    """Jam the ``budget`` channels with the highest current index values."""
-
-    budget: int
+    """Jam the fleet-budget channels with the highest current index values."""
 
 
 @dataclass(frozen=True)
 class RandomMultiJam:
-    """Jam ``budget`` channels chosen uniformly at random each slot."""
-
-    budget: int
+    """Jam fleet-budget channels chosen uniformly at random each slot."""
 
 
 PolicySpec = ThresholdPolicy | RandomJam | WhittleJam | RandomMultiJam
@@ -88,8 +85,10 @@ class SimStats:
 
     For multi-source runs the fleet-level averages are per-slot totals over
     the fleet divided by the fleet size, and ``per_subsystem`` holds the
-    per-channel breakdown. Standard errors come from 100 batch means (fewer
-    for short runs); they are NaN when the horizon cannot support two
+    per-channel breakdown. Standard errors come from batch means: the run is
+    cut into ``B = min(100, slots // 2)`` batches of ``slots // B``
+    consecutive slots, and the last ``slots % B`` slots count in the averages
+    but in no batch. They are NaN when the horizon cannot support two
     batches.
     """
 
@@ -107,16 +106,29 @@ class SimStats:
     per_subsystem: tuple[SubsystemStats, ...] | None = None
 
 
-def batch_standard_error(series: np.ndarray, n_batches: int = 100) -> float:
-    """Standard error of the series mean by non-overlapping batch means."""
-    length = len(series)
-    batches = min(n_batches, length // 2)
-    if batches < 2:
+def _batch_layout(slots: int) -> tuple[int, int]:
+    """(number of batches, slots per batch) of a run; see ``SimStats``."""
+    batches = min(100, slots // 2)
+    return batches, slots // max(batches, 1)
+
+
+def standard_error(values) -> float:
+    """Standard error of the mean of independent values; NaN below two."""
+    values = np.asarray(values, dtype=np.float64)
+    if len(values) < 2:
         return float("nan")
-    batch_len = length // batches
-    trimmed = np.asarray(series[: batches * batch_len], dtype=np.float64)
-    means = trimmed.reshape(batches, batch_len).mean(axis=1)
-    return float(means.std(ddof=1) / np.sqrt(batches))
+    return float(values.std(ddof=1) / np.sqrt(len(values)))
+
+
+def _batch_means(series: np.ndarray) -> np.ndarray:
+    batches, length = _batch_layout(len(series))
+    trimmed = np.asarray(series[: batches * length], dtype=np.float64)
+    return trimmed.reshape(batches, length).mean(axis=1)
+
+
+def batch_standard_error(series: np.ndarray) -> float:
+    """Standard error of the series mean by non-overlapping batch means."""
+    return standard_error(_batch_means(series))
 
 
 def single_trace(
@@ -130,10 +142,8 @@ def single_trace(
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if isinstance(policy, (WhittleJam, RandomMultiJam)):
-        raise ValueError("multi-source policy kind rejected for a single-source run")
     if not isinstance(policy, (ThresholdPolicy, RandomJam)):
-        raise TypeError(f"unsupported policy {policy!r}")
+        raise ValueError(f"a single-source run takes ThresholdPolicy or RandomJam, not {policy!r}")
 
     sub_seq, pol_seq = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(sub_seq)
@@ -187,23 +197,28 @@ def single_trace(
     }
 
 
-def _stats_from_series(
-    slots, seed, lam, eaoii, true_aoii, jam, per_subsystem=None
+def _sim_stats(slots, seed, lam, averages, batch_means, per_subsystem=None) -> SimStats:
+    """SimStats from the averages and batch means of reward, EAoII, true AoII, jams."""
+    errors = [standard_error(means) for means in batch_means]
+    return SimStats(slots, seed, lam, *map(float, averages), *errors, per_subsystem)
+
+
+def summarize_trace(
+    params: SubsystemParams, trace: dict[str, np.ndarray], lam: float, seed: int
 ) -> SimStats:
-    reward = eaoii - lam * jam
-    return SimStats(
-        slots=slots,
-        seed=seed,
-        lam=lam,
-        avg_reward=float(reward.mean()),
-        avg_eaoii=float(eaoii.mean()),
-        avg_true_aoii=float(true_aoii.mean()),
-        avg_aat=float(jam.mean()),
-        se_reward=batch_standard_error(reward),
-        se_eaoii=batch_standard_error(eaoii),
-        se_true_aoii=batch_standard_error(true_aoii),
-        se_aat=batch_standard_error(jam),
-        per_subsystem=per_subsystem,
+    """Statistics of a ``single_trace`` record at jamming cost ``lam``.
+
+    Per-slot reward is the EAoII of the current age minus lam when jamming;
+    the true AoII is tracked from the simulated source for the
+    tower-property checks.
+    """
+    _check_cost(lam)
+    ladder = eaoii_ladder(params, int(trace["age_index"].max()) + 1)
+    eaoii = ladder[trace["age_index"]]
+    jam = trace["jammed"].astype(np.float64)
+    series = (eaoii - lam * jam, eaoii, trace["true_aoii"].astype(np.float64), jam)
+    return _sim_stats(
+        len(eaoii), seed, lam, [x.mean() for x in series], [_batch_means(x) for x in series]
     )
 
 
@@ -216,22 +231,10 @@ def simulate_single(
 ) -> SimStats:
     """Simulate one source for ``horizon`` slots under a single-source policy.
 
-    Deterministic given the seed. Per-slot reward is the EAoII of the
-    current age minus lam when jamming; the true AoII is tracked from the
-    simulated source for the tower-property checks.
+    Deterministic given the seed; see ``summarize_trace`` for the reward.
     """
     _check_cost(lam)
-    trace = single_trace(params, policy, horizon, seed)
-    ladder = eaoii_ladder(params, int(trace["age_index"].max()) + 1)
-    eaoii = ladder[trace["age_index"]]
-    return _stats_from_series(
-        horizon,
-        seed,
-        lam,
-        eaoii,
-        trace["true_aoii"].astype(np.float64),
-        trace["jammed"].astype(np.float64),
-    )
+    return summarize_trace(params, single_trace(params, policy, horizon, seed), lam, seed)
 
 
 def _build_tables(fleet: FleetConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -259,9 +262,9 @@ def simulate_multi_batch(
 
     Results are identical to running each seed alone: every seed derives its
     own per-subsystem and policy streams, so the batch grouping only changes
-    speed. Exactly ``budget`` channels are jammed each slot (an index-ranked
-    set for the Whittle policy, a uniform random set for the baseline); a
-    slot that jams any other number raises ``RuntimeError``.
+    speed. Exactly ``fleet.budget`` channels are jammed each slot (an
+    index-ranked set for the Whittle policy, a uniform random set for the
+    baseline); a slot that jams any other number raises ``RuntimeError``.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -269,8 +272,6 @@ def simulate_multi_batch(
         raise ValueError("at least one seed required")
     if not isinstance(policy, (WhittleJam, RandomMultiJam)):
         raise ValueError("single-source policy kind rejected for a fleet run")
-    if policy.budget != fleet.budget:
-        raise ValueError("policy budget must match the fleet budget")
     n_sub = fleet.size
     budget = fleet.budget
     n_seeds = len(seeds)
@@ -294,14 +295,12 @@ def simulate_multi_batch(
     age = np.zeros((n_seeds, n_sub), dtype=np.int64)
     last_agree = np.zeros((n_seeds, n_sub), dtype=np.int64)
 
-    sum_eaoii = np.zeros((n_seeds, n_sub))
-    sum_true = np.zeros((n_seeds, n_sub), dtype=np.int64)
-    sum_jam = np.zeros((n_seeds, n_sub), dtype=np.int64)
-    n_batches = min(100, horizon // 2) or 1
-    batch_eaoii = np.zeros((n_seeds, n_batches))
-    batch_true = np.zeros((n_seeds, n_batches))
-    batch_jam = np.zeros((n_seeds, n_batches))
-    batch_len = np.zeros(n_batches, dtype=np.int64)
+    # Channel and batch sums of EAoII, true AoII and jams (float64: exact below 2**53).
+    sums = np.zeros((3, n_seeds, n_sub))
+    n_batches, batch_len = _batch_layout(horizon)
+    batch_sums = np.zeros((3, n_seeds, n_batches))
+    sum_eaoii, sum_true, sum_jam = sums
+    batch_eaoii, batch_true, batch_jam = batch_sums
 
     t = 0
     while t < horizon:
@@ -326,16 +325,16 @@ def simulate_multi_batch(
             if (jammed != budget).any():
                 raise RuntimeError(f"jammed {jammed.tolist()} channels, budget {budget}")
 
-            b_idx = (t * n_batches) // horizon
             s_now = ladders[col, np.minimum(age, _TABLE_SIZE - 1)]
-            true_now = (t - last_agree).astype(np.float64)
+            aoii = t - last_agree
             sum_eaoii += s_now
-            sum_true += t - last_agree
+            sum_true += aoii
             sum_jam += mask
-            batch_eaoii[:, b_idx] += s_now.sum(axis=1)
-            batch_true[:, b_idx] += true_now.sum(axis=1)
-            batch_jam[:, b_idx] += jammed
-            batch_len[b_idx] += 1
+            b = t // batch_len
+            if b < n_batches:
+                batch_eaoii[:, b] += s_now.sum(axis=1)
+                batch_true[:, b] += aoii.sum(axis=1)
+                batch_jam[:, b] += jammed
 
             x ^= u_flip[:, j, :] < r_vec
             delivered = u_deliver[:, j, :] < np.where(mask, pj_vec, p_vec)
@@ -344,49 +343,12 @@ def simulate_multi_batch(
             last_agree = np.where(x == xhat, t + 1, last_agree)
             t += 1
 
-    results = []
-    scale = 1.0 / (horizon * n_sub)
-    for s, seed in enumerate(seeds):
-        per_sub = tuple(
-            SubsystemStats(
-                subsystem_id=i,
-                avg_eaoii=float(sum_eaoii[s, i]) / horizon,
-                avg_true_aoii=float(sum_true[s, i]) / horizon,
-                avg_aat=float(sum_jam[s, i]) / horizon,
-            )
-            for i in range(n_sub)
-        )
-        eaoii_means = batch_eaoii[s] / (batch_len * n_sub)
-        true_means = batch_true[s] / (batch_len * n_sub)
-        jam_means = batch_jam[s] / (batch_len * n_sub)
-
-        def se(means):
-            if n_batches < 2:
-                return float("nan")
-            return float(means.std(ddof=1) / np.sqrt(n_batches))
-
-        avg_eaoii = float(sum_eaoii[s].sum()) * scale
-        results.append(
-            SimStats(
-                slots=horizon,
-                seed=seed,
-                lam=0.0,
-                avg_reward=avg_eaoii,
-                avg_eaoii=avg_eaoii,
-                avg_true_aoii=float(sum_true[s].sum()) * scale,
-                avg_aat=float(sum_jam[s].sum()) * scale,
-                se_reward=se(eaoii_means),
-                se_eaoii=se(eaoii_means),
-                se_true_aoii=se(true_means),
-                se_aat=se(jam_means),
-                per_subsystem=per_sub,
-            )
-        )
-    return results
-
-
-def simulate_multi(
-    fleet: FleetConfig, policy: PolicySpec, horizon: int, seed: int
-) -> SimStats:
-    """Simulate the fleet for one seed; see ``simulate_multi_batch``."""
-    return simulate_multi_batch(fleet, policy, horizon, [seed])[0]
+    averages = sums.sum(axis=2) * (1.0 / (horizon * n_sub))
+    batch_means = batch_sums / (batch_len * n_sub)
+    per_channel = sums.transpose(1, 2, 0) / horizon
+    rows = [0, 0, 1, 2]  # reward, EAoII, true AoII, jams: the reward is the EAoII at lam = 0
+    return [
+        _sim_stats(horizon, seed, 0.0, averages[rows, s], batch_means[rows, s],
+                   tuple(SubsystemStats(i, *v) for i, v in enumerate(per_channel[s].tolist())))
+        for s, seed in enumerate(seeds)
+    ]

@@ -5,13 +5,12 @@ independent numeric route (power iteration, truncated sums, exhaustive
 search, value iteration, or a second construction of the same object) and a
 tolerance. ``run_checks`` executes the suite over a parameter grid and
 returns a machine-readable report; the CLI ``verify`` command is a thin
-wrapper over it. The registry below is the coverage manifest: tests assert
-the two stay in sync.
+wrapper over it. Each check returns its worst error and witness; the
+registry ``CHECKS`` at the bottom names it and gives its tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 import math
 
 import numpy as np
@@ -23,16 +22,6 @@ from .oracle import _tail_mass
 RVI_PARAMS = [(0.9, 0.9, 0.1), (0.5, 0.6, 0.3)]
 RVI_LAMBDA_COUNT = 6
 N_GRID = [0, 1, 2, 5, 10]
-
-
-@dataclass
-class CheckResult:
-    name: str
-    tolerance: float
-    worst_error: float
-    passed: bool
-    witness: dict = field(default_factory=dict)
-    detail: str = ""
 
 
 def default_grid() -> list[core.SubsystemParams]:
@@ -57,22 +46,12 @@ def _track(state, err, params, **extra):
         state["witness"] = _witness(params, **extra)
 
 
-def _result(name, tolerance, state, detail="") -> CheckResult:
-    return CheckResult(
-        name=name,
-        tolerance=tolerance,
-        worst_error=state["worst"],
-        passed=state["worst"] <= tolerance and not state.get("failed", False),
-        witness=state["witness"],
-        detail=detail,
-    )
-
-
 def _fresh():
+    """A check's running state: worst error, its witness, and an optional failure flag."""
     return {"worst": 0.0, "witness": {}}
 
 
-def check_eaoii_identities(grid) -> CheckResult:
+def check_eaoii_identities(grid) -> dict:
     """s_0 is identically 0 and s_1 is identically r."""
     state = _fresh()
     rng = np.random.default_rng(2024)
@@ -80,10 +59,10 @@ def check_eaoii_identities(grid) -> CheckResult:
         params = core.SubsystemParams(p=0.5, q=0.5, r=float(r))
         _track(state, abs(core.eaoii_value(params, 0)), params, k=0)
         _track(state, abs(core.eaoii_value(params, 1) - r), params, k=1)
-    return _result("eaoii_identities", 1e-14, state)
+    return state
 
 
-def check_eaoii_monotone_bounded(grid) -> CheckResult:
+def check_eaoii_monotone_bounded(grid) -> dict:
     """Strict increase with the exact step size, below the 1/(2r) ceiling."""
     state = _fresh()
     for params in grid:
@@ -99,10 +78,10 @@ def check_eaoii_monotone_bounded(grid) -> CheckResult:
         if ladder.min() < 0 or ladder.max() > ceil or np.any(ladder[resolvable] >= ceil):
             state["failed"] = True
             state["witness"] = _witness(params)
-    return _result("eaoii_monotone_bounded", 1e-12, state)
+    return state
 
 
-def check_kernel_stochastic(grid) -> CheckResult:
+def check_kernel_stochastic(grid) -> dict:
     """The two-point age kernel is an exact probability distribution."""
     state = _fresh()
     for params in grid:
@@ -113,7 +92,7 @@ def check_kernel_stochastic(grid) -> CheckResult:
                 _track(state, abs(total - 1.0), params, k=k, jammed=jammed)
                 if any(prob < 0 for _, prob in dist) or len(dist) != 2:
                     state["failed"] = True
-    return _result("kernel_stochastic", 0.0, state)
+    return state
 
 
 def _pmf_cap(params, n, target=1e-10) -> int:
@@ -124,7 +103,7 @@ def _pmf_cap(params, n, target=1e-10) -> int:
     return n + max(steps, 20)
 
 
-def check_stationary_vs_power_iteration(grid) -> CheckResult:
+def check_stationary_vs_power_iteration(grid) -> dict:
     """Closed-form age law vs the power-iteration fixed point (TV distance)."""
     state = _fresh()
     for params in grid:
@@ -135,10 +114,10 @@ def check_stationary_vs_power_iteration(grid) -> CheckResult:
             closed = np.array([core.stationary_pmf(params, n, k) for k in range(cap + 1)])
             tv = 0.5 * (np.abs(numeric - closed).sum() + _tail_mass(params, n, cap))
             _track(state, float(tv), params, n=n)
-    return _result("stationary_vs_power_iteration", 1e-8, state)
+    return state
 
 
-def check_stationary_normalization(grid) -> CheckResult:
+def check_stationary_normalization(grid) -> dict:
     """Closed-form age law sums to one, geometric tail included."""
     state = _fresh()
     for params in grid:
@@ -147,10 +126,10 @@ def check_stationary_normalization(grid) -> CheckResult:
             total = sum(core.stationary_pmf(params, n, k) for k in range(cap + 1))
             total += _tail_mass(params, n, cap)
             _track(state, abs(total - 1.0), params, n=n)
-    return _result("stationary_normalization", 1e-12, state)
+    return state
 
 
-def check_stationary_balance(grid) -> CheckResult:
+def check_stationary_balance(grid) -> dict:
     """The closed-form law satisfies the full balance equation pointwise."""
     state = _fresh()
     for params in grid:
@@ -167,7 +146,7 @@ def check_stationary_balance(grid) -> CheckResult:
             upto = min(40, cap)
             resid = np.abs(u[1 : upto + 1] - (1.0 - sigma[:upto]) * u[:upto])
             _track(state, float(resid.max()), params, n=n, k=int(resid.argmax()) + 1)
-    return _result("stationary_balance", 1e-10, state)
+    return state
 
 
 # Relative errors are floored at this scale: the pinned chain at p = 1 makes
@@ -176,7 +155,7 @@ def check_stationary_balance(grid) -> CheckResult:
 _REL_FLOOR = 1e-6
 
 
-def check_avg_eaoii_closed(grid) -> CheckResult:
+def check_avg_eaoii_closed(grid) -> dict:
     """Closed-form average EAoII vs the truncated-sum-plus-tail oracle."""
     state = _fresh()
     for params in grid:
@@ -185,10 +164,10 @@ def check_avg_eaoii_closed(grid) -> CheckResult:
             closed = core.avg_eaoii_closed(params, n)
             err = abs(closed - num_s) / max(abs(num_s), _REL_FLOOR)
             _track(state, err, params, n=n)
-    return _result("avg_eaoii_closed_vs_numeric", 1e-8, state)
+    return state
 
 
-def check_avg_aat_closed(grid) -> CheckResult:
+def check_avg_aat_closed(grid) -> dict:
     """Closed-form average attack time vs the truncated-sum oracle."""
     state = _fresh()
     for params in grid:
@@ -199,7 +178,7 @@ def check_avg_aat_closed(grid) -> CheckResult:
             _track(state, err, params, n=n)
             if not 0.0 <= closed <= 1.0:
                 state["failed"] = True
-    return _result("avg_aat_closed_vs_numeric", 1e-8, state)
+    return state
 
 
 def _usable_ratio(params, n) -> bool:
@@ -208,7 +187,7 @@ def _usable_ratio(params, n) -> bool:
     return params.q > 0.0 and abs(gap) >= 1e-6
 
 
-def check_lambda_seq_vs_ratio(grid) -> CheckResult:
+def check_lambda_seq_vs_ratio(grid) -> dict:
     """Tie-subsidy closed form vs the finite-difference ratio of averages."""
     state = _fresh()
     for params in grid:
@@ -221,10 +200,10 @@ def check_lambda_seq_vs_ratio(grid) -> CheckResult:
             closed = core.lambda_seq(params, n)
             err = abs(closed - ratio) / max(abs(ratio), 1e-12)
             _track(state, err, params, n=n)
-    return _result("lambda_seq_vs_ratio", 1e-8, state)
+    return state
 
 
-def check_lambda_monotone_below_limit(grid) -> CheckResult:
+def check_lambda_monotone_below_limit(grid) -> dict:
     """The tie sequence never decreases and never exceeds its limit."""
     state = _fresh()
     for params in grid:
@@ -240,16 +219,16 @@ def check_lambda_monotone_below_limit(grid) -> CheckResult:
             if np.any(diffs[resolvable] <= 0.0):
                 state["failed"] = True
                 state["witness"] = _witness(params)
-    return _result("lambda_monotone_below_limit", 0.0, state)
+    return state
 
 
-def check_lambda_limit_is_sup(grid) -> CheckResult:
+def check_lambda_limit_is_sup(grid) -> dict:
     """The limit matches the supremum of the sequence out to n = 10^4."""
     state = _fresh()
     for params in grid:
         sup = float(core.lambda_curve(params, 10_000).max())
         _track(state, abs(core.lambda_limit(params) - sup), params)
-    return _result("lambda_limit_is_sup", 1e-6, state)
+    return state
 
 
 def _lambda_probe_points(params):
@@ -277,7 +256,7 @@ def _lambda_probe_points(params):
     return probes
 
 
-def check_optimal_threshold_vs_brute(grid) -> CheckResult:
+def check_optimal_threshold_vs_brute(grid) -> dict:
     """Regime map vs exhaustive argmax of the steady reward curve.
 
     p = 1 is excluded: there every threshold >= 1 has zero attack time and
@@ -295,10 +274,10 @@ def check_optimal_threshold_vs_brute(grid) -> CheckResult:
                 state["failed"] = True
                 state["worst"] = max(state["worst"], 1.0)
                 state["witness"] = _witness(params, lam=lam)
-    return _result("optimal_threshold_vs_brute", 0.0, state)
+    return state
 
 
-def check_steady_reward_tie(grid) -> CheckResult:
+def check_steady_reward_tie(grid) -> dict:
     """At the tie subsidy, consecutive thresholds earn equal reward."""
     state = _fresh()
     for params in grid:
@@ -308,10 +287,10 @@ def check_steady_reward_tie(grid) -> CheckResult:
                 core.steady_reward(params, n, lam) - core.steady_reward(params, n + 1, lam)
             )
             _track(state, gap, params, n=n, lam=lam)
-    return _result("steady_reward_tie", 1e-10, state)
+    return state
 
 
-def check_exchange_sign_flip(grid) -> CheckResult:
+def check_exchange_sign_flip(grid) -> dict:
     """reward(n) - reward(n+1) changes sign exactly at the tie subsidy."""
     state = _fresh()
     for params in grid:
@@ -332,20 +311,20 @@ def check_exchange_sign_flip(grid) -> CheckResult:
                 state["failed"] = True
                 state["worst"] = max(state["worst"], 1.0)
                 state["witness"] = _witness(params, n=n, lam=tie)
-    return _result("exchange_sign_flip", 0.0, state)
+    return state
 
 
-def check_whittle_closed_equals_lambda(grid) -> CheckResult:
+def check_whittle_closed_equals_lambda(grid) -> dict:
     """The priority index is the tie subsidy, state for state."""
     state = _fresh()
     for params in grid:
         for n in N_GRID:
             gap = abs(whittle.whittle_index_closed(params, n) - core.lambda_seq(params, n))
             _track(state, gap, params, n=n)
-    return _result("whittle_closed_equals_lambda", 0.0, state)
+    return state
 
 
-def check_whittle_iterative_vs_closed(grid) -> CheckResult:
+def check_whittle_iterative_vs_closed(grid) -> dict:
     """Iterative infimum construction reproduces the closed-form table.
 
     p = 1 is excluded: there the ratios driving the construction are 0/0
@@ -361,10 +340,10 @@ def check_whittle_iterative_vs_closed(grid) -> CheckResult:
         scale = np.maximum(np.abs(closed), 1e-12)
         err = float(np.max(np.abs(closed - iterative) / scale))
         _track(state, err, params)
-    return _result("whittle_iterative_vs_closed", 1e-8, state)
+    return state
 
 
-def check_whittle_monotone_bounded(grid) -> CheckResult:
+def check_whittle_monotone_bounded(grid) -> dict:
     """Index tables never decrease and stay at or below the limit."""
     state = _fresh()
     for params in grid:
@@ -372,20 +351,20 @@ def check_whittle_monotone_bounded(grid) -> CheckResult:
         limit = core.lambda_limit(params)
         _track(state, max(float(np.max(table - limit)), 0.0), params)
         _track(state, max(float(-np.min(np.diff(table))), 0.0), params)
-    return _result("whittle_monotone_bounded", 0.0, state)
+    return state
 
 
-def check_indexability(grid) -> CheckResult:
+def check_indexability(grid) -> dict:
     """Average attack time decreases in the threshold for every triple."""
     state = _fresh()
     for params in grid:
         if not whittle.indexability_check(params, 200):
             state["failed"] = True
             state["witness"] = _witness(params)
-    return _result("indexability", 0.0, state)
+    return state
 
 
-def check_pairwise_tie_floor(grid) -> CheckResult:
+def check_pairwise_tie_floor(grid) -> dict:
     """Pairwise tie subsidies never undercut the consecutive one."""
     state = _fresh()
     for params in grid:
@@ -397,10 +376,10 @@ def check_pairwise_tie_floor(grid) -> CheckResult:
             ratios = core.intersection_lambda(params, k, ns)
             undercut = max(float(np.max(base - ratios)), 0.0)
             _track(state, undercut, params, n=k)
-    return _result("pairwise_tie_floor", 1e-12, state)
+    return state
 
 
-def check_intersection_vs_naive(grid) -> CheckResult:
+def check_intersection_vs_naive(grid) -> dict:
     """Cancelled pairwise ratio vs the raw closed-form difference quotient."""
     state = _fresh()
     for params in grid:
@@ -415,10 +394,10 @@ def check_intersection_vs_naive(grid) -> CheckResult:
             stable = core.intersection_lambda(params, m, n)
             err = abs(stable - naive) / max(abs(naive), 1e-12)
             _track(state, err, params, m=m, n=n)
-    return _result("intersection_vs_naive_ratio", 1e-8, state)
+    return state
 
 
-def check_rvi_consistency(grid) -> CheckResult:
+def check_rvi_consistency(grid) -> dict:
     """Value iteration reproduces the threshold map and its average reward."""
     state = _fresh()
     for p, q, r in RVI_PARAMS:
@@ -444,10 +423,10 @@ def check_rvi_consistency(grid) -> CheckResult:
             else:
                 target = core.avg_eaoii_no_jam(params)
             _track(state, abs(result.theta - target), params, lam=lam)
-    return _result("rvi_consistency", 1e-6, state)
+    return state
 
 
-def check_select_jam_set(grid) -> CheckResult:
+def check_select_jam_set(grid) -> dict:
     """The fleet simulator's vectorized selection equals ``select_jam_set``.
 
     Channels draw (params, age) from small pools, so equal index values,
@@ -472,11 +451,12 @@ def check_select_jam_set(grid) -> CheckResult:
             if whittle.select_jam_set(fleet, budget) != set(np.flatnonzero(mask).tolist()):
                 state["failed"] = True
                 state["witness"] = {"fleet_size": size, "budget": budget, "ages": lane.tolist()}
-    return _result("select_jam_set_vs_sort", 0.0, state)
+    return state
 
 
 # name -> (function, tolerance). This is the coverage inventory: the report
-# always contains exactly these checks, in this order.
+# always contains exactly these checks, in this order, and takes each check's
+# name and tolerance from here.
 CHECKS = {
     "eaoii_identities": (check_eaoii_identities, 1e-14),
     "eaoii_monotone_bounded": (check_eaoii_monotone_bounded, 1e-12),
@@ -502,8 +482,6 @@ CHECKS = {
     "select_jam_set_vs_sort": (check_select_jam_set, 0.0),
 }
 
-MANIFEST = [(name, tol) for name, (_, tol) in CHECKS.items()]
-
 
 def run_checks(grid=None, names=None) -> dict:
     """Run the (selected) suite and return the JSON-ready report."""
@@ -514,10 +492,18 @@ def run_checks(grid=None, names=None) -> dict:
         raise ValueError(f"unknown checks: {unknown}")
     results = []
     for name in selected:
-        func, _ = CHECKS[name]
-        results.append(func(grid))
+        func, tolerance = CHECKS[name]
+        state = func(grid)
+        results.append({
+            "name": name,
+            "tolerance": tolerance,
+            "worst_error": state["worst"],
+            "passed": state["worst"] <= tolerance and not state.get("failed", False),
+            "witness": state["witness"],
+            "detail": "",  # kept for the report schema; no check sets it
+        })
     return {
         "grid_size": len(grid),
-        "checks": [asdict(res) for res in results],
-        "passed": all(res.passed for res in results),
+        "checks": results,
+        "passed": all(res["passed"] for res in results),
     }

@@ -41,13 +41,7 @@ from aoii_jam.sim import (
     simulate_single,
     single_trace,
 )
-from aoii_jam.verify import (
-    check_avg_aat_closed,
-    check_avg_eaoii_closed,
-    check_stationary_normalization,
-    check_stationary_vs_power_iteration,
-    default_grid,
-)
+from aoii_jam.verify import default_grid, run_checks
 from aoii_jam.whittle import FleetConfig, whittle_index_iterative, whittle_table_closed
 from cli_runner import run_cli
 from exact import ExactRewardCurve, exact_lambda_sequence
@@ -77,14 +71,15 @@ def test_criterion_02_stationary_equivalence():
     started = time.perf_counter()
     grid = default_grid()
     assert len(grid) >= 50
-    tv = check_stationary_vs_power_iteration(grid)
-    norm = check_stationary_normalization(grid)
-    assert tv.passed and tv.worst_error < 1e-8
-    assert norm.passed and norm.worst_error < 1e-12
+    tv, norm = run_checks(
+        grid, names=["stationary_vs_power_iteration", "stationary_normalization"]
+    )["checks"]
+    assert tv["passed"] and tv["worst_error"] < 1e-8
+    assert norm["passed"] and norm["worst_error"] < 1e-12
     _report(
         2,
-        f"{len(grid)} triples x 5 thresholds: TV {tv.worst_error:.1e}, "
-        f"normalization {norm.worst_error:.1e}",
+        f"{len(grid)} triples x 5 thresholds: TV {tv['worst_error']:.1e}, "
+        f"normalization {norm['worst_error']:.1e}",
         started,
     )
 
@@ -92,14 +87,15 @@ def test_criterion_02_stationary_equivalence():
 def test_criterion_03_average_equivalence():
     started = time.perf_counter()
     grid = default_grid()
-    eaoii = check_avg_eaoii_closed(grid)
-    aat = check_avg_aat_closed(grid)
-    assert eaoii.passed and eaoii.worst_error < 1e-8
-    assert aat.passed and aat.worst_error < 1e-8
+    eaoii, aat = run_checks(
+        grid, names=["avg_eaoii_closed_vs_numeric", "avg_aat_closed_vs_numeric"]
+    )["checks"]
+    assert eaoii["passed"] and eaoii["worst_error"] < 1e-8
+    assert aat["passed"] and aat["worst_error"] < 1e-8
     _report(
         3,
-        f"closed averages vs truncated sums: EAoII {eaoii.worst_error:.1e}, "
-        f"AAT {aat.worst_error:.1e}",
+        f"closed averages vs truncated sums: EAoII {eaoii['worst_error']:.1e}, "
+        f"AAT {aat['worst_error']:.1e}",
         started,
     )
 
@@ -284,8 +280,8 @@ def test_criterion_09_fleet_comparison():
     whittle_totals = []
     for n_total in (4, 8, 16, 24, 32, 40):
         fleet = FleetConfig.from_classes(classes, n_total, n_total // 2)
-        w_runs = simulate_multi_batch(fleet, WhittleJam(fleet.budget), horizon, seeds)
-        r_runs = simulate_multi_batch(fleet, RandomMultiJam(fleet.budget), horizon, seeds)
+        w_runs = simulate_multi_batch(fleet, WhittleJam(), horizon, seeds)
+        r_runs = simulate_multi_batch(fleet, RandomMultiJam(), horizon, seeds)
         w = np.array([s.avg_true_aoii for s in w_runs])
         r = np.array([s.avg_true_aoii for s in r_runs])
         se_diff = np.hypot(w.std(ddof=1), r.std(ddof=1)) / np.sqrt(len(seeds))

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aoii_jam.sim as sim_mod
 from aoii_jam.core import (
@@ -15,7 +19,6 @@ from aoii_jam.sim import (
     RandomMultiJam,
     WhittleJam,
     batch_standard_error,
-    simulate_multi,
     simulate_multi_batch,
     simulate_single,
     single_trace,
@@ -101,9 +104,9 @@ class TestSingleSource:
 
     def test_multi_policy_rejected(self):
         with pytest.raises(ValueError):
-            simulate_single(REF, WhittleJam(1), 0.0, 100, seed=0)
+            simulate_single(REF, WhittleJam(), 0.0, 100, seed=0)
         with pytest.raises(ValueError):
-            simulate_single(REF, RandomMultiJam(1), 0.0, 100, seed=0)
+            simulate_single(REF, RandomMultiJam(), 0.0, 100, seed=0)
 
     def test_trace_matches_step_primitive(self):
         # Replay the exact uniforms through the pure one-slot primitive and
@@ -153,40 +156,55 @@ class TestBatchStandardError:
 
 class TestMultiSource:
     def test_budget_enforced_exactly(self):
-        stats = simulate_multi(TWO_CLASS, WhittleJam(2), 4_000, seed=3)
+        stats = simulate_multi_batch(TWO_CLASS, WhittleJam(), 4_000, [3])[0]
         assert stats.avg_aat == pytest.approx(2 / 4, abs=1e-12)
-        stats = simulate_multi(TWO_CLASS, RandomMultiJam(2), 4_000, seed=3)
+        stats = simulate_multi_batch(TWO_CLASS, RandomMultiJam(), 4_000, [3])[0]
         assert stats.avg_aat == pytest.approx(2 / 4, abs=1e-12)
 
     def test_budget_violation_raises(self, monkeypatch):
         monkeypatch.setattr(sim_mod, "jam_mask", lambda scores, budget: scores < -1.0)
         with pytest.raises(RuntimeError, match="budget 2"):
-            simulate_multi(TWO_CLASS, WhittleJam(2), 10, seed=0)
+            simulate_multi_batch(TWO_CLASS, WhittleJam(), 10, [0])
 
     def test_single_policy_rejected(self):
         with pytest.raises(ValueError):
-            simulate_multi(TWO_CLASS, ThresholdPolicy(2), 100, seed=0)
-
-    def test_budget_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_multi(TWO_CLASS, WhittleJam(1), 100, seed=0)
+            simulate_multi_batch(TWO_CLASS, ThresholdPolicy(2), 100, [0])
 
     def test_batching_invariance(self):
-        alone = simulate_multi(TWO_CLASS, WhittleJam(2), 3_000, seed=21)
-        batched = simulate_multi_batch(TWO_CLASS, WhittleJam(2), 3_000, [21, 22, 23])
+        alone = simulate_multi_batch(TWO_CLASS, WhittleJam(), 3_000, [21])[0]
+        batched = simulate_multi_batch(TWO_CLASS, WhittleJam(), 3_000, [21, 22, 23])
         assert alone == batched[0]
 
     def test_fleet_average_consistent_with_breakdown(self):
-        stats = simulate_multi(TWO_CLASS, RandomMultiJam(2), 5_000, seed=2)
+        stats = simulate_multi_batch(TWO_CLASS, RandomMultiJam(), 5_000, [2])[0]
         per = stats.per_subsystem
         assert stats.avg_true_aoii == pytest.approx(
             np.mean([s.avg_true_aoii for s in per]), abs=1e-12
         )
         assert stats.avg_aat == pytest.approx(np.mean([s.avg_aat for s in per]), abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        params=st.builds(SubsystemParams, p=st.floats(0.05, 1.0), q=st.floats(0.0, 0.95),
+                         r=st.floats(0.02, 0.5)),
+        horizon=st.integers(1, 4096),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fleet_of_one_is_a_single_source(self, params, horizon, seed):
+        # Up to one draw chunk (4096 slots) a lone channel sees the same
+        # uniforms as a single-source run, so both must report the same
+        # averages and, with one batch layout, the same standard errors.
+        fleet = simulate_multi_batch(FleetConfig((params,), 0), WhittleJam(), horizon, [seed])[0]
+        single = simulate_single(params, ThresholdPolicy(INFINITE), 0.0, horizon, seed)
+        for name in ("avg_reward", "avg_eaoii", "avg_true_aoii", "avg_aat",
+                     "se_reward", "se_eaoii", "se_true_aoii", "se_aat"):
+            a, b = getattr(fleet, name), getattr(single, name)
+            assert (math.isnan(a) and math.isnan(b)) or math.isclose(
+                a, b, rel_tol=1e-12, abs_tol=1e-12), (name, a, b)
+
     def test_unjammed_fleet_matches_single_never(self):
         fleet = FleetConfig(subsystems=(REF, REF), budget=0)
-        multi = simulate_multi(fleet, WhittleJam(0), 150_000, seed=8)
+        multi = simulate_multi_batch(fleet, WhittleJam(), 150_000, [8])[0]
         single = simulate_single(REF, ThresholdPolicy(INFINITE), 0.0, 150_000, seed=8)
         assert multi.avg_aat == 0.0
         tol = 4 * np.hypot(multi.se_true_aoii, single.se_true_aoii)
@@ -197,15 +215,15 @@ class TestMultiSource:
         # deterministic low-id tie-break makes attack time non-increasing in
         # the subsystem id, while the fleet total stays pinned at M/N.
         fleet = FleetConfig(subsystems=(REF,) * 4, budget=3)
-        stats = simulate_multi(fleet, WhittleJam(3), 40_000, seed=5)
+        stats = simulate_multi_batch(fleet, WhittleJam(), 40_000, [5])[0]
         assert stats.avg_aat == pytest.approx(0.75, abs=1e-12)
         aats = [sub.avg_aat for sub in stats.per_subsystem]
         assert aats == sorted(aats, reverse=True)
         assert aats[0] > aats[-1]
 
     def test_index_policy_beats_random_baseline(self):
-        whittle_runs = simulate_multi_batch(TWO_CLASS, WhittleJam(2), 30_000, [0, 1, 2])
-        random_runs = simulate_multi_batch(TWO_CLASS, RandomMultiJam(2), 30_000, [0, 1, 2])
+        whittle_runs = simulate_multi_batch(TWO_CLASS, WhittleJam(), 30_000, [0, 1, 2])
+        random_runs = simulate_multi_batch(TWO_CLASS, RandomMultiJam(), 30_000, [0, 1, 2])
         w = np.mean([s.avg_true_aoii for s in whittle_runs])
         r = np.mean([s.avg_true_aoii for s in random_runs])
         assert w > r

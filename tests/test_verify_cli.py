@@ -3,16 +3,29 @@ import json
 import numpy as np
 import pytest
 
+import aoii_jam.cli as cli_mod
 import aoii_jam.core as core_mod
 from aoii_jam.cli import main
 from aoii_jam.core import SubsystemParams, lambda_limit
-from aoii_jam.verify import CHECKS, MANIFEST, default_grid, run_checks
+from aoii_jam.verify import CHECKS, default_grid, run_checks
 
 
 class TestVerifySuite:
-    def test_manifest_matches_registry(self):
-        assert MANIFEST == [(name, tol) for name, (_, tol) in CHECKS.items()]
-        assert len(MANIFEST) == len(set(name for name, _ in MANIFEST))
+    def test_report_follows_registry(self, monkeypatch):
+        # Every check runs once, in registry order, under its registry name
+        # and tolerance; a check only reports its worst error and witness.
+        for name, (_, tol) in list(CHECKS.items()):
+            worst = tol / 2 if name != "indexability" else tol + 1.0
+            state = {"worst": worst, "witness": {"check": name}}
+            monkeypatch.setitem(CHECKS, name, (lambda grid, state=state: state, tol))
+        report = run_checks(grid=[])
+        assert len(CHECKS) == 22
+        assert [(c["name"], c["tolerance"]) for c in report["checks"]] == [
+            (name, tol) for name, (_, tol) in CHECKS.items()
+        ]
+        assert all(c["witness"] == {"check": c["name"]} for c in report["checks"])
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == ["indexability"]
+        assert not report["passed"]
 
     def test_grid_is_large_enough(self):
         grid = default_grid()
@@ -230,9 +243,21 @@ class TestCliCommands:
         cfg = tmp_path / "lam.json"
         cfg.write_text('{"params": "0.9,0.9,0.1", "lam": 1.0}')
         assert run_cli("sim", "--config", str(cfg), "--horizon", "10") == 2
+        # A grid of 10^12 points is refused before anything is allocated.
+        assert run_cli("threshold-curve", "--params", "0.9,0.9,0.1",
+                       "--lambda-max", "1e9", "--lambda-step", "1e-3") == 2
         errors = capsys.readouterr().err.splitlines()
-        assert len(errors) == 7
+        assert len(errors) == 8
         assert all(line.startswith("error: ") for line in errors)
+        assert errors[-1].startswith("error: --lambda-step: ")
+
+    def test_sweep_lambda_checks_lambda_before_simulating(self, monkeypatch):
+        def simulate(*args):
+            pytest.fail("simulated before every lambda was checked")
+
+        monkeypatch.setattr(cli_mod, "simulate_single", simulate)
+        assert run_cli("sweep-lambda", "--params", "0.9,0.9,0.1", "--lambda-min", "-1",
+                       "--horizon", "2000000") == 2
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
