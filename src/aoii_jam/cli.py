@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -34,7 +35,7 @@ from .core import (
     avg_eaoii_no_jam,
     eaoii_ladder,
     lambda_limit,
-    optimal_threshold,
+    optimal_thresholds,
     steady_reward,
 )
 from .sim import (
@@ -321,7 +322,7 @@ def cmd_sweep_lambda(args, opts) -> int:
     """reward vs jamming cost sweep"""
     params, horizon, seed = opts["params"], opts["horizon"], opts["seed"]
     grid = _lambda_grid(opts)
-    policies = [optimal_threshold(params, lam) for lam in grid]
+    policies = optimal_thresholds(params, grid)
     baseline = simulate_single(params, RandomJam(0.5), 0.0, horizon, seed)
     runs: dict = {}
     rows = []
@@ -345,7 +346,8 @@ def cmd_sweep_lambda(args, opts) -> int:
 def cmd_threshold_curve(args, opts) -> int:
     """optimal threshold vs jamming cost"""
     params = opts["params"]
-    rows = [(lam, _threshold_cell(optimal_threshold(params, lam))) for lam in _lambda_grid(opts)]
+    grid = _lambda_grid(opts)
+    rows = zip(grid, map(_threshold_cell, optimal_thresholds(params, grid)))
     config = {"command": "threshold-curve", **_header(opts), "lambda-limit": lambda_limit(params)}
     _emit(args.out, config, ["lambda", "threshold_n"], rows, args.format)
     return 0
@@ -413,11 +415,18 @@ def cmd_sim(args, opts) -> int:
     _emit(args.out, config, columns, [tuple(getattr(stats, name) for name in fields)], args.format)
     if args.trace is not None:
         columns = ["slot", "subsystem_id", "age_index", "true_aoii", "jammed", "delivered"]
-        rows = zip(trace["slot"].tolist(), [0] * horizon,
-                   *(trace[name].tolist() for name in columns[2:]))
         with open(args.trace, "w") as handle:
-            _write_table(handle, config, columns, rows, "csv")
+            _write_table(handle, config, columns, _trace_rows(trace), "csv")
     return 0
+
+
+def _trace_rows(trace):
+    """Rows of the ``sim --trace`` table, converted to Python values a block at a time."""
+    size = 65_536
+    for start in range(0, len(trace["slot"]), size):
+        block = [trace[name][start:start + size].tolist()
+                 for name in ("slot", "age_index", "true_aoii", "jammed", "delivered")]
+        yield from zip(block[0], itertools.repeat(0), *block[1:])
 
 
 # --- argument parsing ------------------------------------------------------

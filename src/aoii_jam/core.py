@@ -49,6 +49,7 @@ __all__ = [
     "lambda_limit",
     "intersection_lambda",
     "optimal_threshold",
+    "optimal_thresholds",
 ]
 
 
@@ -399,3 +400,31 @@ def optimal_threshold(params: SubsystemParams, lam: float) -> ThresholdPolicy:
         else:
             hi = mid
     return ThresholdPolicy(hi)
+
+
+def optimal_thresholds(params: SubsystemParams, lams) -> list[ThresholdPolicy]:
+    """``optimal_threshold`` of every cost in a non-decreasing grid, in one walk.
+
+    Threshold n is optimal on the band (lambda_seq(n-1), lambda_seq(n)], so
+    the first cost of each band is mapped with ``optimal_threshold`` and every
+    later cost up to lambda_seq(n) takes the same threshold without a search;
+    costs at or above ``lambda_limit`` map to INFINITE. The search runs once
+    per threshold that occurs, not once per cost.
+    """
+    lams = np.asarray(lams, dtype=np.float64)
+    bad = np.flatnonzero(~(np.isfinite(lams) & (lams >= 0)))
+    if bad.size:
+        _check_cost(float(lams[bad[0]]))
+    if (np.diff(lams) < 0).any():
+        raise ValueError("costs must be sorted in non-decreasing order")
+    limit = lambda_limit(params)
+    policies: list[ThresholdPolicy] = []
+    while len(policies) < len(lams):
+        policy = optimal_threshold(params, float(lams[len(policies)]))
+        if policy.is_finite:
+            top = lambda_seq(params, policy.threshold)
+            end = int(np.searchsorted(lams, top, side="right" if top < limit else "left"))
+        else:
+            end = len(lams)
+        policies += [policy] * (end - len(policies))
+    return policies

@@ -1,4 +1,4 @@
-"""Seeded slot-by-slot simulation of the true monitoring system.
+"""Seeded simulation of the true monitoring system.
 
 Unlike the closed forms, the simulator tracks the ground truth: the binary
 source itself, the monitor's estimate, and the true age of incorrect
@@ -9,6 +9,11 @@ source flips, the packet is transmitted, then estimate/age/agreement are
 updated. Every run is a pure function of (configuration, seed): each
 subsystem draws from its own stream derived from the master seed, and
 randomized policies draw from a separate policy stream.
+
+A single-source run has no slot loop: under a threshold or random policy
+the deliveries of a whole chunk of slots follow from its uniforms and the
+last delivery before it, and every other record follows from the
+deliveries. The fleet simulator steps all channels one slot at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +49,11 @@ __all__ = [
 # Lookup tables saturate at their analytic ceilings well before this many ages.
 _TABLE_SIZE = 4096
 
+# Slots per draw chunk of the fleet loop and per array pass of single_trace.
 _CHUNK = 4096
+
+# Longest single-source run: ten times the longest default horizon.
+MAX_HORIZON = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -131,6 +140,28 @@ def batch_standard_error(series: np.ndarray) -> float:
     return standard_error(_batch_means(series))
 
 
+def _threshold_deliveries(u: np.ndarray, p: float, p_jam: float, n: int, last: int) -> np.ndarray:
+    """Deliveries of one chunk under a finite threshold ``n``.
+
+    ``u`` holds the chunk's delivery uniforms and ``last`` (negative) the last
+    delivery before the chunk, in chunk-local slots. A slot is jammed exactly
+    when nothing was delivered in the ``n`` slots before it, so a slot with
+    ``u < p(1-q)`` is always delivered, one with ``u >= p`` never, and one in
+    between iff a delivery lies at most ``n`` slots before it. Split the
+    ``u < p`` slots, preceded by ``last``, into runs wherever two consecutive
+    ones lie more than ``n`` apart: within a run every slot from the first
+    sure delivery onward is delivered, and in the run that contains ``last``
+    every slot is.
+    """
+    candidates = np.flatnonzero(u < p)
+    index = np.arange(1, len(candidates) + 1)  # ``last`` is index 0
+    run_start = np.maximum.accumulate(np.where(np.diff(candidates, prepend=last) > n, index, 0))
+    last_sure = np.maximum.accumulate(np.where(u[candidates] < p_jam, index, 0))
+    delivered = np.zeros(len(u), dtype=bool)
+    delivered[candidates] = last_sure >= run_start
+    return delivered
+
+
 def single_trace(
     params: SubsystemParams, policy: PolicySpec, horizon: int, seed: int
 ) -> dict[str, np.ndarray]:
@@ -138,10 +169,14 @@ def single_trace(
 
     Returns arrays over slots 0..horizon-1: the age and true AoII at
     decision time, the committed jam decision, and whether that slot's
-    packet was delivered.
+    packet was delivered. The run is resolved ``_CHUNK`` slots at a
+    time with array operations; only the last delivery slot, the source bit,
+    the estimate and the last agreement slot carry from one chunk to the next.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon must be at most {MAX_HORIZON}, got {horizon}")
     if not isinstance(policy, (ThresholdPolicy, RandomJam)):
         raise ValueError(f"a single-source run takes ThresholdPolicy or RandomJam, not {policy!r}")
 
@@ -149,52 +184,51 @@ def single_trace(
     rng = np.random.default_rng(sub_seq)
     u_flip = rng.random(horizon)
     u_deliver = rng.random(horizon)
-
     random_mode = isinstance(policy, RandomJam)
     if random_mode:
         u_policy = np.random.default_rng(pol_seq).random(horizon)
-        jam_prob = policy.jam_prob
-        n = None
-    else:
-        n = int(policy.threshold) if policy.is_finite else None
+    # No age reaches the horizon, so a threshold there never binds.
+    n = min(int(policy.threshold), horizon) if not random_mode and policy.is_finite else horizon
 
     p = params.p
-    r = params.r
     p_jam = delivery_probability(params, True)
-    x = 0
-    xh = 0
-    age = 0
-    last_agree = 0
-    ages: list[int] = []
-    jams: list[bool] = []
-    aoiis: list[int] = []
-    delivereds: list[bool] = []
-    for t in range(horizon):
-        if random_mode:
-            jam = bool(u_policy[t] < jam_prob)
-        else:
-            jam = n is not None and age >= n
-        ages.append(age)
-        jams.append(jam)
-        aoiis.append(t - last_agree)
-        if u_flip[t] < r:
-            x ^= 1
-        delivered = u_deliver[t] < (p_jam if jam else p)
-        delivereds.append(delivered)
-        if delivered:
-            xh = x
-            age = 0
-        else:
-            age += 1
-        if x == xh:
-            last_agree = t + 1
-    return {
+    trace = {
         "slot": np.arange(horizon, dtype=np.int64),
-        "age_index": np.asarray(ages, dtype=np.int64),
-        "true_aoii": np.asarray(aoiis, dtype=np.int64),
-        "jammed": np.asarray(jams, dtype=bool),
-        "delivered": np.asarray(delivereds, dtype=bool),
+        "age_index": np.empty(horizon, dtype=np.int64),
+        "true_aoii": np.empty(horizon, dtype=np.int64),
+        "jammed": np.empty(horizon, dtype=bool),
+        "delivered": np.empty(horizon, dtype=bool),
     }
+    # Slot -1 counts as a delivery: the run starts at age 0, in agreement.
+    last_delivery, x, xh, last_agree = -1, False, False, 0
+    for start in range(0, horizon, _CHUNK):
+        stop = min(start + _CHUNK, horizon)
+        slots = trace["slot"][start:stop]
+        u = u_deliver[start:stop]
+        if random_mode:
+            jammed = u_policy[start:stop] < policy.jam_prob
+            delivered = u < np.where(jammed, p_jam, p)
+        elif n == horizon:
+            delivered = u < p
+        else:
+            delivered = _threshold_deliveries(u, p, p_jam, n, last_delivery - start)
+        delivery = np.maximum.accumulate(np.where(delivered, slots, last_delivery))
+        age = trace["age_index"][start:stop]
+        age[0] = start - 1 - last_delivery
+        np.subtract(slots[:-1], delivery[:-1], out=age[1:])
+        if not random_mode:
+            jammed = age >= n
+        source = np.logical_xor.accumulate(u_flip[start:stop] < params.r) ^ x
+        estimate = np.where(delivery >= start, source[np.maximum(delivery - start, 0)], xh)
+        agreement = np.maximum.accumulate(np.where(source == estimate, slots + 1, last_agree))
+        aoii = trace["true_aoii"][start:stop]
+        aoii[0] = start - last_agree
+        np.subtract(slots[1:], agreement[:-1], out=aoii[1:])
+        trace["jammed"][start:stop] = jammed
+        trace["delivered"][start:stop] = delivered
+        last_delivery, x, xh, last_agree = (
+            int(delivery[-1]), bool(source[-1]), bool(estimate[-1]), int(agreement[-1]))
+    return trace
 
 
 def _sim_stats(slots, seed, lam, averages, batch_means, per_subsystem=None) -> SimStats:

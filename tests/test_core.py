@@ -18,6 +18,7 @@ from aoii_jam.core import (
     lambda_limit,
     lambda_seq,
     optimal_threshold,
+    optimal_thresholds,
     stationary_pmf,
     steady_curves,
     steady_reward,
@@ -315,6 +316,50 @@ class TestOptimalThreshold:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             optimal_threshold(REF, -0.1)
+
+
+class TestOptimalThresholdsGrid:
+    """The sorted-grid walk against ``optimal_threshold`` point by point."""
+
+    @staticmethod
+    def assert_pointwise(params, lams):
+        assert optimal_thresholds(params, lams) == [
+            optimal_threshold(params, float(lam)) for lam in lams]
+
+    def test_benchmark_grid(self):
+        grid = 0.0 + 0.001 * np.arange(10_001)
+        self.assert_pointwise(REF, grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=params_st,
+           fractions=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=60))
+    def test_random_sorted_grids(self, params, fractions):
+        self.assert_pointwise(params, sorted(f * lambda_limit(params) for f in fractions))
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=params_st, top=st.integers(0, 300))
+    def test_points_on_tie_levels(self, params, top):
+        # Each tie level, its neighbours one ULP away, and the limit itself.
+        levels = [lambda_seq(params, n) for n in range(top + 1)] + [lambda_limit(params)]
+        grid = sorted({max(x, 0.0) for level in levels
+                       for x in (np.nextafter(level, 0.0), level, np.nextafter(level, 10.0))})
+        self.assert_pointwise(params, grid)
+
+    def test_zero_and_at_or_above_limit(self):
+        limit = lambda_limit(REF)
+        grid = [0.0, 0.0, np.nextafter(limit, 0.0), limit, limit, 2 * limit]
+        self.assert_pointwise(REF, grid)
+        assert optimal_thresholds(REF, grid)[3:] == [ThresholdPolicy(INFINITE)] * 3
+        no_power = SubsystemParams(0.9, 0.0, 0.1)  # lambda_limit is 0
+        self.assert_pointwise(no_power, [0.0, 1.0])
+        assert optimal_thresholds(REF, []) == []
+
+    def test_unsorted_or_bad_costs_rejected(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            optimal_thresholds(REF, [1.0, 0.5])
+        for bad in (float("nan"), float("inf"), -0.1):
+            with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+                optimal_thresholds(REF, [0.0, bad])
 
 
 class TestSteadyReward:

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aoii_jam.sim as sim_mod
@@ -27,6 +28,7 @@ from aoii_jam.whittle import FleetConfig
 from reference import GroundTruthState, initial_state, step_subsystem
 
 REF = SubsystemParams(p=0.9, q=0.9, r=0.1)
+Q_MAX = float(np.nextafter(1.0, 0.0))  # q = 1 itself is not a valid parameter
 TWO_CLASS = FleetConfig(
     subsystems=(SubsystemParams(0.2, 0.2, 0.4),) * 2 + (SubsystemParams(0.8, 0.8, 0.2),) * 2,
     budget=2,
@@ -108,24 +110,86 @@ class TestSingleSource:
         with pytest.raises(ValueError):
             simulate_single(REF, RandomMultiJam(), 0.0, 100, seed=0)
 
-    def test_trace_matches_step_primitive(self):
-        # Replay the exact uniforms through the pure one-slot primitive and
-        # require the fast loop to agree slot for slot.
-        horizon, seed = 1_500, 77
-        policy = ThresholdPolicy(2)
-        trace = single_trace(REF, policy, horizon, seed)
-        sub_seq, _ = np.random.SeedSequence(seed).spawn(2)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        params=st.builds(SubsystemParams,
+                         p=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+                         q=st.one_of(st.sampled_from([0.0, Q_MAX]), st.floats(0.0, 0.99)),
+                         r=st.floats(0.02, 0.5)),
+        policy=st.one_of(
+            st.builds(ThresholdPolicy, st.sampled_from([0, INFINITE])),
+            st.builds(ThresholdPolicy, st.integers(1, 6)),
+            st.builds(ThresholdPolicy, st.integers(7, 500)),
+            st.builds(RandomJam, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        ),
+        horizon=st.integers(1, 400),
+        chunk=st.one_of(st.none(), st.integers(1, 9)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(params=REF, policy=ThresholdPolicy(2), horizon=9_000, chunk=None, seed=77)
+    @example(params=REF, policy=RandomJam(0.5), horizon=9_000, chunk=None, seed=78)
+    def test_trace_matches_step_primitive(self, params, policy, horizon, chunk, seed):
+        # Replay the run's uniforms through the pure one-slot primitive and
+        # require every array of the chunked run to agree slot for slot,
+        # also when chunks of a few slots make every carry visible.
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(sim_mod, "_CHUNK", chunk)
+            trace = single_trace(params, policy, horizon, seed)
+        sub_seq, pol_seq = np.random.SeedSequence(seed).spawn(2)
         rng = np.random.default_rng(sub_seq)
         u_flip = rng.random(horizon)
         u_deliver = rng.random(horizon)
+        if isinstance(policy, RandomJam):
+            jams = np.random.default_rng(pol_seq).random(horizon) < policy.jam_prob
         state = initial_state()
+        ages, aoiis, jammed, delivered = [], [], [], []
         for t in range(horizon):
-            assert trace["age_index"][t] == state.age_index
-            assert trace["true_aoii"][t] == state.true_aoii
-            jam = state.age_index >= policy.threshold
-            assert trace["jammed"][t] == jam
-            state = step_subsystem(state, REF, jam, (u_flip[t], u_deliver[t]))
-            assert trace["delivered"][t] == (state.age_index == 0)
+            if isinstance(policy, RandomJam):
+                jam = bool(jams[t])
+            else:
+                jam = policy.is_finite and state.age_index >= policy.threshold
+            ages.append(state.age_index)
+            aoiis.append(state.true_aoii)
+            jammed.append(jam)
+            state = step_subsystem(state, params, jam, (u_flip[t], u_deliver[t]))
+            delivered.append(state.age_index == 0)
+        expected = {
+            "slot": np.arange(horizon, dtype=np.int64),
+            "age_index": np.array(ages, dtype=np.int64),
+            "true_aoii": np.array(aoiis, dtype=np.int64),
+            "jammed": np.array(jammed, dtype=bool),
+            "delivered": np.array(delivered, dtype=bool),
+        }
+        assert trace.keys() == expected.keys()
+        for name, values in expected.items():
+            assert trace[name].dtype == values.dtype, name
+            mismatch = np.flatnonzero(trace[name] != values)
+            assert mismatch.size == 0, (name, mismatch[:5])
+
+    @pytest.mark.parametrize("policy, draws", [
+        (ThresholdPolicy(2), 2), (ThresholdPolicy(INFINITE), 2), (RandomJam(0.5), 3)],
+        ids=["threshold", "never", "random"])
+    def test_trace_memory_bounded_by_its_arrays(self, policy, draws):
+        # Beyond the returned arrays and the uniforms drawn up front, a run
+        # may hold only per-chunk temporaries: no horizon-length scratch.
+        horizon = 200_000
+        tracemalloc.start()
+        try:
+            trace = single_trace(REF, policy, horizon, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(values.nbytes for values in trace.values())
+        assert peak <= returned + draws * 8 * horizon + 2_000_000
+
+    def test_horizon_cap(self, monkeypatch):
+        with pytest.raises(ValueError, match="horizon must be at most 10000000"):
+            single_trace(REF, ThresholdPolicy(2), sim_mod.MAX_HORIZON + 1, seed=0)
+        monkeypatch.setattr(sim_mod, "MAX_HORIZON", 50)
+        assert len(single_trace(REF, ThresholdPolicy(2), 50, seed=0)["slot"]) == 50
+        with pytest.raises(ValueError, match="horizon must be at most 50, got 51"):
+            simulate_single(REF, RandomJam(0.5), 0.0, 51, seed=0)
 
     def test_ergodic_means_near_closed_forms(self):
         stats = simulate_single(REF, ThresholdPolicy(2), 0.0, 200_000, seed=11)

@@ -251,6 +251,18 @@ class TestCliCommands:
         assert all(line.startswith("error: ") for line in errors)
         assert errors[-1].startswith("error: --lambda-step: ")
 
+    def test_horizon_over_cap_exits_before_drawing(self, tmp_path, capsys):
+        # 10^12 slots of uniforms would not fit in memory, so exit 2 with one
+        # error line shows the horizon was refused before anything was drawn.
+        huge = "1000000000000"
+        assert run_cli("sim", "--params", "0.9,0.9,0.1", "--horizon", huge) == 2
+        assert run_cli("sim", "--params", "0.9,0.9,0.1", "--horizon", huge,
+                       "--trace", str(tmp_path / "trace.csv")) == 2
+        assert run_cli("sweep-lambda", "--params", "0.9,0.9,0.1", "--horizon", huge) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: horizon must be at most 10000000, got {huge}"] * 3
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_sweep_lambda_checks_lambda_before_simulating(self, monkeypatch):
         def simulate(*args):
             pytest.fail("simulated before every lambda was checked")
