@@ -10,10 +10,10 @@ updated. Every run is a pure function of (configuration, seed): each
 subsystem draws from its own stream derived from the master seed, and
 randomized policies draw from a separate policy stream.
 
-A single-source run has no slot loop: under a threshold or random policy
-the deliveries of a whole chunk of slots follow from its uniforms and the
-last delivery before it, and every other record follows from the
-deliveries. The fleet simulator steps all channels one slot at a time.
+Both simulators resolve chunks of slots: first the deliveries, then, in one
+kernel, everything else. Only the fleet's index policy steps one slot at a
+time, to decide its jams; a single-source run and the fleet's random baseline
+draw a whole chunk's jams and deliveries with array operations.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .core import (
     delivery_probability,
     eaoii_ladder,
 )
-from .whittle import FleetConfig, jam_mask, whittle_table_closed
+from .whittle import FleetConfig, jam_mask, rank_keys, whittle_table_closed
 
 __all__ = [
     "RandomJam",
@@ -43,17 +43,19 @@ __all__ = [
     "summarize_trace",
     "simulate_multi_batch",
     "standard_error",
-    "batch_standard_error",
 ]
 
 # Lookup tables saturate at their analytic ceilings well before this many ages.
 _TABLE_SIZE = 4096
 
-# Slots per draw chunk of the fleet loop and per array pass of single_trace.
+# Slots per draw chunk and per array pass of both simulators.
 _CHUNK = 4096
 
 # Longest single-source run: ten times the longest default horizon.
 MAX_HORIZON = 10_000_000
+
+# Largest fleet: the random baseline's keys int64(u * 2**53) * N + channel fit up to here.
+MAX_FLEET = 1024
 
 
 @dataclass(frozen=True)
@@ -135,13 +137,8 @@ def _batch_means(series: np.ndarray) -> np.ndarray:
     return trimmed.reshape(batches, length).mean(axis=1)
 
 
-def batch_standard_error(series: np.ndarray) -> float:
-    """Standard error of the series mean by non-overlapping batch means."""
-    return standard_error(_batch_means(series))
-
-
 def _threshold_deliveries(u: np.ndarray, p: float, p_jam: float, n: int, last: int) -> np.ndarray:
-    """Deliveries of one chunk under a finite threshold ``n``.
+    """Deliveries of one chunk under threshold ``n``; at the horizon or above it never binds.
 
     ``u`` holds the chunk's delivery uniforms and ``last`` (negative) the last
     delivery before the chunk, in chunk-local slots. A slot is jammed exactly
@@ -162,6 +159,33 @@ def _threshold_deliveries(u: np.ndarray, p: float, p_jam: float, n: int, last: i
     return delivered
 
 
+def _resolve(delivered, flips, start, carry, age, aoii):
+    """Ages and true AoII of a chunk of slots from ``start`` on, for both simulators.
+
+    Takes (slots, channels) deliveries and source flips and, per channel, the
+    carry: the last delivery before the chunk, the source bit and the last
+    agreement slot. A delivery is coded 2 * slot + the source bit it delivers,
+    so one running maximum gives the last delivery slot (``code >> 1``) and the
+    estimate (``code & 1``). Writes the age and true AoII at decision time into
+    ``age`` and ``aoii``; returns the next chunk's carry.
+    """
+    last, x, last_agree = carry
+    slots = np.arange(start, start + len(delivered))[:, None]
+    source = np.logical_xor.accumulate(flips, axis=0) ^ x
+    code = np.maximum.accumulate(np.where(delivered, 2 * slots + source, last), axis=0)
+    age[0] = start - 1 - (last >> 1)
+    np.subtract(slots[:-1], code[:-1] >> 1, out=age[1:])
+    agreement = np.maximum.accumulate(np.where(source == (code & 1), slots + 1, last_agree), axis=0)
+    aoii[0] = start - last_agree
+    np.subtract(slots[1:], agreement[:-1], out=aoii[1:])
+    return code[-1].copy(), source[-1].copy(), agreement[-1].copy()
+
+
+def _start_carry(channels: int) -> tuple[np.ndarray, ...]:
+    """The ``_resolve`` carry of a run's start: slot -1 counts as a delivery, in agreement."""
+    return np.full(channels, -2), np.zeros(channels, dtype=bool), np.zeros(channels, dtype=int)
+
+
 def single_trace(
     params: SubsystemParams, policy: PolicySpec, horizon: int, seed: int
 ) -> dict[str, np.ndarray]:
@@ -169,9 +193,7 @@ def single_trace(
 
     Returns arrays over slots 0..horizon-1: the age and true AoII at
     decision time, the committed jam decision, and whether that slot's
-    packet was delivered. The run is resolved ``_CHUNK`` slots at a
-    time with array operations; only the last delivery slot, the source bit,
-    the estimate and the last agreement slot carry from one chunk to the next.
+    packet was delivered, resolved ``_CHUNK`` slots at a time by ``_resolve``.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -190,7 +212,6 @@ def single_trace(
     # No age reaches the horizon, so a threshold there never binds.
     n = min(int(policy.threshold), horizon) if not random_mode and policy.is_finite else horizon
 
-    p = params.p
     p_jam = delivery_probability(params, True)
     trace = {
         "slot": np.arange(horizon, dtype=np.int64),
@@ -199,35 +220,23 @@ def single_trace(
         "jammed": np.empty(horizon, dtype=bool),
         "delivered": np.empty(horizon, dtype=bool),
     }
-    # Slot -1 counts as a delivery: the run starts at age 0, in agreement.
-    last_delivery, x, xh, last_agree = -1, False, False, 0
+    carry = _start_carry(1)
     for start in range(0, horizon, _CHUNK):
         stop = min(start + _CHUNK, horizon)
-        slots = trace["slot"][start:stop]
         u = u_deliver[start:stop]
+        jammed, delivered = trace["jammed"][start:stop], trace["delivered"][start:stop]
         if random_mode:
-            jammed = u_policy[start:stop] < policy.jam_prob
-            delivered = u < np.where(jammed, p_jam, p)
-        elif n == horizon:
-            delivered = u < p
+            np.less(u_policy[start:stop], policy.jam_prob, out=jammed)
+            np.less(u, np.where(jammed, p_jam, params.p), out=delivered)
         else:
-            delivered = _threshold_deliveries(u, p, p_jam, n, last_delivery - start)
-        delivery = np.maximum.accumulate(np.where(delivered, slots, last_delivery))
+            last = (int(carry[0][0]) >> 1) - start
+            delivered[:] = _threshold_deliveries(u, params.p, p_jam, n, last)
         age = trace["age_index"][start:stop]
-        age[0] = start - 1 - last_delivery
-        np.subtract(slots[:-1], delivery[:-1], out=age[1:])
+        flips = u_flip[start:stop, None] < params.r
+        carry = _resolve(delivered[:, None], flips, start, carry,
+                         age[:, None], trace["true_aoii"][start:stop, None])
         if not random_mode:
-            jammed = age >= n
-        source = np.logical_xor.accumulate(u_flip[start:stop] < params.r) ^ x
-        estimate = np.where(delivery >= start, source[np.maximum(delivery - start, 0)], xh)
-        agreement = np.maximum.accumulate(np.where(source == estimate, slots + 1, last_agree))
-        aoii = trace["true_aoii"][start:stop]
-        aoii[0] = start - last_agree
-        np.subtract(slots[1:], agreement[:-1], out=aoii[1:])
-        trace["jammed"][start:stop] = jammed
-        trace["delivered"][start:stop] = delivered
-        last_delivery, x, xh, last_agree = (
-            int(delivery[-1]), bool(source[-1]), bool(estimate[-1]), int(agreement[-1]))
+            np.greater_equal(age, n, out=jammed)
     return trace
 
 
@@ -271,21 +280,6 @@ def simulate_single(
     return summarize_trace(params, single_trace(params, policy, horizon, seed), lam, seed)
 
 
-def _build_tables(fleet: FleetConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-subsystem EAoII ladders and index tables, shared across classes."""
-    ladders = np.empty((fleet.size, _TABLE_SIZE))
-    indices = np.empty((fleet.size, _TABLE_SIZE))
-    cache: dict[SubsystemParams, tuple[np.ndarray, np.ndarray]] = {}
-    for i, params in enumerate(fleet.subsystems):
-        if params not in cache:
-            cache[params] = (
-                eaoii_ladder(params, _TABLE_SIZE),
-                whittle_table_closed(params, _TABLE_SIZE - 1),
-            )
-        ladders[i], indices[i] = cache[params]
-    return ladders, indices
-
-
 def simulate_multi_batch(
     fleet: FleetConfig,
     policy: PolicySpec,
@@ -299,6 +293,10 @@ def simulate_multi_batch(
     speed. Exactly ``fleet.budget`` channels are jammed each slot (an
     index-ranked set for the Whittle policy, a uniform random set for the
     baseline); a slot that jams any other number raises ``RuntimeError``.
+
+    Per chunk, the index policy steps through the slots for all seeds at
+    once, as its jams depend on the ages; the baseline picks a seed's jam
+    sets for the whole chunk in one call. ``_resolve`` does the rest.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -306,83 +304,83 @@ def simulate_multi_batch(
         raise ValueError("at least one seed required")
     if not isinstance(policy, (WhittleJam, RandomMultiJam)):
         raise ValueError("single-source policy kind rejected for a fleet run")
-    n_sub = fleet.size
-    budget = fleet.budget
-    n_seeds = len(seeds)
+    if fleet.size > MAX_FLEET:
+        raise ValueError(f"a fleet has at most {MAX_FLEET} subsystems, got {fleet.size}")
+    n_sub, budget, lanes = fleet.size, fleet.budget, len(seeds)
     whittle_mode = isinstance(policy, WhittleJam)
 
-    ladders, index_tables = _build_tables(fleet)
+    tables = {params: (eaoii_ladder(params, _TABLE_SIZE),
+                       whittle_table_closed(params, _TABLE_SIZE - 1))
+              for params in dict.fromkeys(fleet.subsystems)}
+    ladders, index_tables = (np.array([tables[params][k] for params in fleet.subsystems])
+                             for k in (0, 1))
     col = np.arange(n_sub)
-    p_vec = np.array([s.p for s in fleet.subsystems])
-    r_vec = np.array([s.r for s in fleet.subsystems])
-    pj_vec = np.array([delivery_probability(s, True) for s in fleet.subsystems])
+    p_vec, r_vec, pj_vec = np.array(
+        [(s.p, s.r, delivery_probability(s, True)) for s in fleet.subsystems]).T[:, :, None]
+    if whittle_mode:
+        # Keys of ages 0 .. _TABLE_SIZE - 1 + _CHUNK, flat: an age clamped to the
+        # table at the start of a chunk stays inside it for the whole chunk.
+        keys = np.pad(rank_keys(index_tables), ((0, 0), (0, _CHUNK)), mode="edge")
+        flat_keys, base = keys.ravel(), col * keys.shape[1]
 
-    sub_rngs = []
-    pol_rngs = []
-    for seed in seeds:
-        children = np.random.SeedSequence(seed).spawn(n_sub + 1)
-        sub_rngs.append([np.random.default_rng(c) for c in children[:n_sub]])
-        pol_rngs.append(np.random.default_rng(children[n_sub]))
-
-    x = np.zeros((n_seeds, n_sub), dtype=np.int8)
-    xhat = np.zeros((n_seeds, n_sub), dtype=np.int8)
-    age = np.zeros((n_seeds, n_sub), dtype=np.int64)
-    last_agree = np.zeros((n_seeds, n_sub), dtype=np.int64)
-
+    children = [np.random.SeedSequence(seed).spawn(n_sub + 1) for seed in seeds]
+    sub_rngs = [[np.random.default_rng(c) for c in lane[:n_sub]] for lane in children]
+    pol_rngs = [np.random.default_rng(lane[n_sub]) for lane in children]
+    carries = [_start_carry(n_sub) for _ in seeds]
     # Channel and batch sums of EAoII, true AoII and jams (float64: exact below 2**53).
-    sums = np.zeros((3, n_seeds, n_sub))
+    sums = np.zeros((lanes, 3, n_sub))
     n_batches, batch_len = _batch_layout(horizon)
-    batch_sums = np.zeros((3, n_seeds, n_batches))
-    sum_eaoii, sum_true, sum_jam = sums
-    batch_eaoii, batch_true, batch_jam = batch_sums
+    batch_sums = np.zeros((lanes, 3, n_batches))
 
-    t = 0
-    while t < horizon:
-        chunk = min(_CHUNK, horizon - t)
-        u_flip = np.empty((n_seeds, chunk, n_sub))
-        u_deliver = np.empty((n_seeds, chunk, n_sub))
-        for s in range(n_seeds):
-            for i in range(n_sub):
-                u_flip[s, :, i] = sub_rngs[s][i].random(chunk)
-                u_deliver[s, :, i] = sub_rngs[s][i].random(chunk)
-        if not whittle_mode:
-            # The baseline jams the channels with the lowest uniform keys.
-            neg_keys = np.empty((n_seeds, chunk, n_sub))
-            for s in range(n_seeds):
-                neg_keys[s] = -pol_rngs[s].random((chunk, n_sub))
-        for j in range(chunk):
+    for start in range(0, horizon, _CHUNK):
+        chunk = min(_CHUNK, horizon - start)
+        u = np.empty((n_sub, chunk))
+        # Per (slot, seed, channel): the source flips, and whether the packet
+        # gets through if jammed (sure) and if not (maybe).
+        flips, sure, maybe = np.empty((3, chunk, lanes, n_sub), dtype=bool)
+        for s, lane_rngs in enumerate(sub_rngs):
+            for out, prob in ((flips, r_vec), (sure, pj_vec)):
+                for rng, row in zip(lane_rngs, u):
+                    rng.random(out=row)
+                np.less(u, prob, out=out[:, s].T)
+            np.less(u, p_vec, out=maybe[:, s].T)
+        if whittle_mode:
+            start_ages = start - 1 - (np.array([carry[0] for carry in carries]) >> 1)
+            lookup = base + np.minimum(start_ages, _TABLE_SIZE - 1)
+            masks, deliveries = np.empty((2, chunk, lanes, n_sub), dtype=bool)
+            for j in range(chunk):
+                mask = masks[j] = jam_mask(flat_keys[lookup], budget)
+                delivered = deliveries[j] = np.where(mask, sure[j], maybe[j])
+                lookup = np.where(delivered, base, lookup + 1)
+        batch = np.arange(start, start + chunk) // batch_len
+        for s in range(lanes):
             if whittle_mode:
-                mask = jam_mask(index_tables[col, np.minimum(age, _TABLE_SIZE - 1)], budget)
+                mask, delivered = masks[:, s], deliveries[:, s]
             else:
-                mask = jam_mask(neg_keys[:, j, :], budget)
-            jammed = mask.sum(axis=1)
-            if (jammed != budget).any():
-                raise RuntimeError(f"jammed {jammed.tolist()} channels, budget {budget}")
-
-            s_now = ladders[col, np.minimum(age, _TABLE_SIZE - 1)]
-            aoii = t - last_agree
-            sum_eaoii += s_now
-            sum_true += aoii
-            sum_jam += mask
-            b = t // batch_len
-            if b < n_batches:
-                batch_eaoii[:, b] += s_now.sum(axis=1)
-                batch_true[:, b] += aoii.sum(axis=1)
-                batch_jam[:, b] += jammed
-
-            x ^= u_flip[:, j, :] < r_vec
-            delivered = u_deliver[:, j, :] < np.where(mask, pj_vec, p_vec)
-            xhat = np.where(delivered, x, xhat)
-            age = np.where(delivered, 0, age + 1)
-            last_agree = np.where(x == xhat, t + 1, last_agree)
-            t += 1
+                # The lowest uniform of each slot wins, ties to the lower channel;
+                # random() returns multiples of 2**-53, so the keys are exact.
+                u_policy = pol_rngs[s].random((chunk, n_sub))
+                mask = jam_mask((u_policy * 2.0**53).astype(np.int64) * n_sub + col, budget)
+                delivered = np.where(mask, sure[:, s], maybe[:, s])
+            jams = mask.sum(axis=1)
+            if (jams != budget).any():
+                bad = np.flatnonzero(jams != budget)[0]
+                raise RuntimeError(
+                    f"slot {start + bad}: jammed {jams[bad]} channels, budget {budget}")
+            age, aoii = np.empty((2, chunk, n_sub), dtype=np.int64)
+            carries[s] = _resolve(delivered, flips[:, s], start, carries[s], age, aoii)
+            per_slot = (ladders[col, np.minimum(age, _TABLE_SIZE - 1)], aoii, mask)
+            for k, values in enumerate(per_slot):
+                sums[s, k] += values.sum(axis=0)
+                batch_sums[s, k] += np.bincount(
+                    batch, weights=values.sum(axis=1), minlength=n_batches)[:n_batches]
 
     averages = sums.sum(axis=2) * (1.0 / (horizon * n_sub))
     batch_means = batch_sums / (batch_len * n_sub)
-    per_channel = sums.transpose(1, 2, 0) / horizon
+    per_channel = sums.transpose(0, 2, 1) / horizon
     rows = [0, 0, 1, 2]  # reward, EAoII, true AoII, jams: the reward is the EAoII at lam = 0
     return [
-        _sim_stats(horizon, seed, 0.0, averages[rows, s], batch_means[rows, s],
+        _sim_stats(horizon, seed, 0.0, averages[s, rows], batch_means[s, rows],
                    tuple(SubsystemStats(i, *v) for i, v in enumerate(per_channel[s].tolist())))
         for s, seed in enumerate(seeds)
     ]

@@ -427,7 +427,7 @@ def check_rvi_consistency(grid) -> dict:
 
 
 def check_select_jam_set(grid) -> dict:
-    """The fleet simulator's vectorized selection equals ``select_jam_set``.
+    """The fleet simulator's selection, rank keys and ``jam_mask``, equals ``select_jam_set``.
 
     Channels draw (params, age) from small pools, so equal index values,
     and with them the lower-id tie-break, occur in most fleets.
@@ -441,8 +441,9 @@ def check_select_jam_set(grid) -> dict:
         channel_params = [kinds[int(i)] for i in rng.integers(0, 3, size=size)]
         ages = rng.integers(0, 6, size=(4, size))
         budget = int(rng.integers(0, size + 1))
-        tables = np.array([whittle.whittle_table_closed(params, 5) for params in channel_params])
-        masks = whittle.jam_mask(tables[np.arange(size), ages], budget)
+        keys = whittle.rank_keys(np.array([whittle.whittle_table_closed(params, 5)
+                                           for params in channel_params]))
+        masks = whittle.jam_mask(keys[np.arange(size), ages], budget)
         for lane, mask in zip(ages, masks):
             fleet = [
                 whittle.SubsystemState(subsystem_id=i, params=params, age=int(age))

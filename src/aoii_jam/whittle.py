@@ -32,6 +32,7 @@ __all__ = [
     "whittle_index_iterative",
     "indexability_check",
     "select_jam_set",
+    "rank_keys",
     "jam_mask",
 ]
 
@@ -81,10 +82,6 @@ class FleetConfig:
     def size(self) -> int:
         return len(self.subsystems)
 
-    @property
-    def alpha(self) -> float:
-        return self.budget / self.size
-
     @classmethod
     def from_classes(
         cls, classes: list[tuple[SubsystemParams, float]], n_total: int, budget: int
@@ -107,11 +104,7 @@ class FleetConfig:
 
 
 def whittle_index_closed(params: SubsystemParams, n: int) -> float:
-    """Priority index of age n: the subsidy making jam and idle tie there.
-
-    Identical to ``lambda_seq``; the single-channel tie sequence is what the
-    budgeted policy ranks on.
-    """
+    """Priority index of age n: the tie subsidy ``lambda_seq``, which the budgeted policy ranks."""
     return lambda_seq(params, n)
 
 
@@ -215,12 +208,20 @@ def select_jam_set(fleet: list[SubsystemState], budget: int) -> set[int]:
     return {sub.subsystem_id for sub in ranked[:budget]}
 
 
-def jam_mask(scores: np.ndarray, budget: int) -> np.ndarray:
-    """Mask of the ``budget`` highest scores in each row of a (lanes, channels) array.
+def rank_keys(tables: np.ndarray) -> np.ndarray:
+    """``jam_mask`` keys of a (channels, ages) array of index values.
 
-    Ties go to the lower column, matching ``select_jam_set`` on index values.
+    A key is the value's dense descending rank in the array (equal values, +0
+    and -0 too, share one) times the channel count, plus the channel: the
+    smallest keys are the highest values, ties to the lower channel.
     """
-    order = np.argsort(-scores, axis=1, kind="stable")
-    mask = np.zeros(scores.shape, dtype=bool)
-    mask[np.arange(len(scores))[:, None], order[:, :budget]] = True
-    return mask
+    _, rank = np.unique(-tables, return_inverse=True)
+    channels = len(tables)
+    return rank.reshape(tables.shape) * channels + np.arange(channels)[:, None]
+
+
+def jam_mask(keys: np.ndarray, budget: int) -> np.ndarray:
+    """Mask of the ``budget`` smallest keys along the last axis, where keys are unique."""
+    if budget == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    return keys <= np.partition(keys, budget - 1, axis=-1)[..., budget - 1, None]

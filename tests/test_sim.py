@@ -19,10 +19,10 @@ from aoii_jam.sim import (
     RandomJam,
     RandomMultiJam,
     WhittleJam,
-    batch_standard_error,
     simulate_multi_batch,
     simulate_single,
     single_trace,
+    standard_error,
 )
 from aoii_jam.whittle import FleetConfig
 from reference import GroundTruthState, initial_state, step_subsystem
@@ -33,6 +33,63 @@ TWO_CLASS = FleetConfig(
     subsystems=(SubsystemParams(0.2, 0.2, 0.4),) * 2 + (SubsystemParams(0.8, 0.8, 0.2),) * 2,
     budget=2,
 )
+
+
+# Seeded fleet runs of the two classes of TWO_CLASS at budget N/2, seeds 0-2,
+# over 4,133 slots: more than one draw chunk, and not a multiple of the 100
+# batches. Recorded from the slot-by-slot fleet simulator, before the chunked
+# one replaced it. Per run: avg_true_aoii, avg_aat, se_true_aoii, se_aat,
+# avg_eaoii, se_eaoii, then per channel the true-AoII sum and the jam count.
+GOLDEN_HORIZON = 4_133
+FLEET_GOLDEN = {
+    ("whittle", 4): [
+        (0.9087224776191628, 0.5, 0.031583938396194625, 0.0,
+         0.8648793207175457, 0.012030621548953098,
+         [2971, 2897, 4726, 4429], [0, 0, 4133, 4133]),
+        (0.8594846358577304, 0.5, 0.02676723760913155, 0.0,
+         0.8976457292551105, 0.011181058742636755,
+         [3005, 3336, 3895, 3973], [0, 0, 4133, 4133]),
+        (0.8470844422937334, 0.5, 0.029668458049938295, 0.0,
+         0.8552854098393612, 0.010199559975409656,
+         [3098, 2843, 3864, 4199], [0, 0, 4133, 4133]),
+    ],
+    ("whittle", 8): [
+        (0.8691023469634648, 0.5, 0.019107728137143898, 0.0,
+         0.8767365175283175, 0.00878568297583067,
+         [2971, 2897, 2889, 3060, 3770, 3787, 4517, 4845], [0, 0, 0, 0, 4133, 4133, 4133, 4133]),
+        (0.8999516090007258, 0.5, 0.02092928169481073, 0.0,
+         0.8843940837155507, 0.0077256551942464936,
+         [3005, 3336, 3189, 2951, 4363, 4263, 4403, 4246], [0, 0, 0, 0, 4133, 4133, 4133, 4133]),
+        (0.8997398983789014, 0.5, 0.02105235915612531, 0.0,
+         0.8776913998097462, 0.008678916127471226,
+         [3098, 2843, 2725, 3102, 4387, 4391, 4707, 4496], [0, 0, 0, 0, 4133, 4133, 4133, 4133]),
+    ],
+    ("random", 4): [
+        (0.5029034599564481, 0.5, 0.013175150728197083, 0.0,
+         0.505044977535773, 0.004991804739274866,
+         [3233, 3050, 1043, 988], [2110, 2059, 2046, 2051]),
+        (0.5331478345027825, 0.5, 0.014589506523494559, 0.0,
+         0.5137443234891541, 0.005710306800142851,
+         [3104, 3375, 1215, 1120], [1999, 2119, 2055, 2093]),
+        (0.5040527461892088, 0.5, 0.015794353419418827, 0.0,
+         0.5075900458595358, 0.0054203966618411896,
+         [3244, 3001, 1070, 1018], [2050, 2033, 2069, 2114]),
+    ],
+    ("random", 8): [
+        (0.5129143479312848, 0.5, 0.009675996155630863, 0.0,
+         0.5073796601846632, 0.004008772807808611,
+         [3194, 3046, 3025, 3336, 1049, 1170, 1085, 1054],
+         [2071, 2117, 2007, 2064, 2060, 2118, 2050, 2045]),
+        (0.5248306315025405, 0.5, 0.011332941707856878, 0.0,
+         0.5178634581070461, 0.004092802865063744,
+         [3140, 3571, 3388, 3102, 1211, 910, 1048, 983],
+         [2041, 2049, 2023, 2055, 2123, 2041, 2137, 2063]),
+        (0.49682434067263487, 0.5, 0.009772088148050296, 0.0,
+         0.5104501568624372, 0.003642168340824036,
+         [3116, 3016, 2837, 3348, 959, 1030, 1160, 961],
+         [2014, 2087, 2138, 2093, 2040, 2056, 2033, 2071]),
+    ],
+}
 
 
 class TestStepSubsystem:
@@ -211,11 +268,11 @@ class TestBatchStandardError:
     def test_iid_scaling(self):
         rng = np.random.default_rng(0)
         series = rng.normal(size=100_000)
-        se = batch_standard_error(series)
+        se = standard_error(sim_mod._batch_means(series))
         assert se == pytest.approx(1.0 / np.sqrt(len(series)), rel=0.2)
 
     def test_short_series_is_nan(self):
-        assert np.isnan(batch_standard_error(np.array([1.0, 2.0, 3.0])))
+        assert np.isnan(standard_error(sim_mod._batch_means(np.array([1.0, 2.0, 3.0]))))
 
 
 class TestMultiSource:
@@ -225,14 +282,24 @@ class TestMultiSource:
         stats = simulate_multi_batch(TWO_CLASS, RandomMultiJam(), 4_000, [3])[0]
         assert stats.avg_aat == pytest.approx(2 / 4, abs=1e-12)
 
-    def test_budget_violation_raises(self, monkeypatch):
-        monkeypatch.setattr(sim_mod, "jam_mask", lambda scores, budget: scores < -1.0)
-        with pytest.raises(RuntimeError, match="budget 2"):
-            simulate_multi_batch(TWO_CLASS, WhittleJam(), 10, [0])
+    @pytest.mark.parametrize("policy", [WhittleJam(), RandomMultiJam()], ids=["whittle", "random"])
+    def test_budget_violation_raises(self, monkeypatch, policy):
+        # Selection keys are never negative, so this selection jams nothing.
+        monkeypatch.setattr(sim_mod, "jam_mask", lambda keys, budget: keys < 0)
+        with pytest.raises(RuntimeError, match="slot 0: jammed 0 channels, budget 2"):
+            simulate_multi_batch(TWO_CLASS, policy, 10, [0])
 
     def test_single_policy_rejected(self):
         with pytest.raises(ValueError):
             simulate_multi_batch(TWO_CLASS, ThresholdPolicy(2), 100, [0])
+
+    def test_fleet_size_cap(self, monkeypatch):
+        too_big = FleetConfig((REF,) * (sim_mod.MAX_FLEET + 1), 1)
+        with pytest.raises(ValueError, match="at most 1024 subsystems, got 1025"):
+            simulate_multi_batch(too_big, RandomMultiJam(), 1, [0])
+        monkeypatch.setattr(sim_mod, "MAX_FLEET", 3)
+        with pytest.raises(ValueError, match="at most 3 subsystems, got 4"):
+            simulate_multi_batch(TWO_CLASS, WhittleJam(), 1, [0])
 
     def test_batching_invariance(self):
         alone = simulate_multi_batch(TWO_CLASS, WhittleJam(), 3_000, [21])[0]
@@ -291,3 +358,25 @@ class TestMultiSource:
         w = np.mean([s.avg_true_aoii for s in whittle_runs])
         r = np.mean([s.avg_true_aoii for s in random_runs])
         assert w > r
+
+    @pytest.mark.parametrize("policy", [WhittleJam(), RandomMultiJam()], ids=["whittle", "random"])
+    @pytest.mark.parametrize("n_total", [4, 8])
+    def test_seeded_values_are_pinned(self, policy, n_total):
+        # Everything built from integer sums must match exactly; EAoII and the
+        # reward are float sums, pinned only up to their summation order.
+        classes = [(TWO_CLASS.subsystems[0], 0.5), (TWO_CLASS.subsystems[-1], 0.5)]
+        fleet = FleetConfig.from_classes(classes, n_total, n_total // 2)
+        runs = simulate_multi_batch(fleet, policy, GOLDEN_HORIZON, [0, 1, 2])
+        name = "whittle" if isinstance(policy, WhittleJam) else "random"
+        for stats, expected in zip(runs, FLEET_GOLDEN[(name, n_total)], strict=True):
+            true, aat, se_true, se_aat, eaoii, se_eaoii, true_sums, jam_counts = expected
+            assert (stats.avg_true_aoii, stats.avg_aat, stats.se_true_aoii, stats.se_aat) == (
+                true, aat, se_true, se_aat)
+            per = stats.per_subsystem
+            assert [sub.avg_true_aoii for sub in per] == [x / GOLDEN_HORIZON for x in true_sums]
+            assert [sub.avg_aat for sub in per] == [x / GOLDEN_HORIZON for x in jam_counts]
+            for value in (stats.avg_eaoii, stats.avg_reward):
+                assert value == pytest.approx(eaoii, rel=1e-12, abs=0.0)
+            for value in (stats.se_eaoii, stats.se_reward):
+                assert value == pytest.approx(se_eaoii, rel=1e-12, abs=0.0)
+            assert np.mean([sub.avg_eaoii for sub in per]) == pytest.approx(eaoii, rel=1e-12)

@@ -5,6 +5,7 @@ import pytest
 
 import aoii_jam.cli as cli_mod
 import aoii_jam.core as core_mod
+import aoii_jam.whittle as whittle_mod
 from aoii_jam.cli import main
 from aoii_jam.core import SubsystemParams, lambda_limit
 from aoii_jam.verify import CHECKS, default_grid, run_checks
@@ -53,6 +54,26 @@ class TestVerifySuite:
         assert not report["passed"]
         witness = report["checks"][0]["witness"]
         assert {"p", "q", "r", "n"} <= set(witness)
+
+    def test_every_check_passes_on_the_default_grid(self):
+        report = run_checks()
+        assert [c["name"] for c in report["checks"]] == list(CHECKS)
+        failed = [(c["name"], c["worst_error"], c["witness"])
+                  for c in report["checks"] if not c["passed"]]
+        assert failed == []
+        assert report["passed"]
+
+    def test_selection_tie_to_the_higher_channel_fails_with_witness(self, monkeypatch):
+        real = whittle_mod.rank_keys
+
+        def tie_to_higher(tables):
+            channels = len(tables)
+            return real(tables) // channels * channels + np.arange(channels)[::-1, None]
+
+        monkeypatch.setattr(whittle_mod, "rank_keys", tie_to_higher)
+        check = run_checks(names=["select_jam_set_vs_sort"])["checks"][0]
+        assert not check["passed"]
+        assert {"fleet_size", "budget", "ages"} == set(check["witness"])
 
 
 def run_cli(*argv):

@@ -170,8 +170,7 @@ class TestFleetConfig:
         with pytest.raises(ValueError):
             FleetConfig(subsystems=(REF, REF), budget=2)
         fleet = FleetConfig(subsystems=(REF, REF, CLASS_FAST, CLASS_SLOW), budget=2)
-        assert fleet.size == 4
-        assert fleet.alpha == 0.5
+        assert (fleet.size, fleet.budget) == (4, 2)
 
     def test_from_classes(self):
         fleet = FleetConfig.from_classes(
