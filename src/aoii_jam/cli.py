@@ -42,6 +42,7 @@ from .sim import (
     RandomJam,
     RandomMultiJam,
     WhittleJam,
+    _check_run,
     simulate_multi_batch,
     simulate_single,
     single_trace,
@@ -357,11 +358,12 @@ def cmd_multi_sim(args, opts) -> int:
     """fleet comparison: index policy vs random"""
     classes, horizon, seeds = opts["classes"], opts["horizon"], opts["seeds"]
     m_rule = opts["m-rule"]
+    fleets = [FleetConfig.from_classes(classes, n, n // 2 if m_rule == "half" else int(m_rule))
+              for n in opts["n-list"]]
+    _check_run(horizon, max(fleet.size for fleet in fleets))  # before any fleet is simulated
     rows = []
-    for n_total in opts["n-list"]:
-        budget = n_total // 2 if m_rule == "half" else int(m_rule)
-        fleet = FleetConfig.from_classes(classes, n_total, budget)
-        row = [n_total]
+    for fleet in fleets:
+        row = [fleet.size]
         for policy in (WhittleJam(), RandomMultiJam()):
             runs = simulate_multi_batch(fleet, policy, horizon, seeds)
             values = np.array([s.avg_true_aoii for s in runs])

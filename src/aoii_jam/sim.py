@@ -13,7 +13,9 @@ randomized policies draw from a separate policy stream.
 Both simulators resolve chunks of slots: first the deliveries, then, in one
 kernel, everything else. Only the fleet's index policy steps one slot at a
 time, to decide its jams; a single-source run and the fleet's random baseline
-draw a whole chunk's jams and deliveries with array operations.
+draw a whole chunk's jams and deliveries with array operations. Both reduce
+their chunks into the same channel and batch sums, from which one function
+builds every run summary.
 """
 
 from __future__ import annotations
@@ -22,36 +24,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    SubsystemParams,
-    ThresholdPolicy,
-    _check_cost,
-    delivery_probability,
-    eaoii_ladder,
-)
+from .core import SubsystemParams, ThresholdPolicy, _check_cost, delivery_probability, eaoii_ladder
 from .whittle import FleetConfig, jam_mask, rank_keys, whittle_table_closed
 
 __all__ = [
-    "RandomJam",
-    "WhittleJam",
-    "RandomMultiJam",
-    "PolicySpec",
-    "SubsystemStats",
-    "SimStats",
-    "simulate_single",
-    "single_trace",
-    "summarize_trace",
-    "simulate_multi_batch",
-    "standard_error",
+    "RandomJam", "WhittleJam", "RandomMultiJam", "PolicySpec", "SubsystemStats", "SimStats",
+    "simulate_single", "single_trace", "summarize_trace", "simulate_multi_batch", "standard_error",
 ]
 
-# Lookup tables saturate at their analytic ceilings well before this many ages.
+# Ages covered by the fleet's index table; older ages rank by the index of age 4,095.
 _TABLE_SIZE = 4096
 
 # Slots per draw chunk and per array pass of both simulators.
 _CHUNK = 4096
 
-# Longest single-source run: ten times the longest default horizon.
+# Longest run of either simulator: ten times the longest default horizon.
 MAX_HORIZON = 10_000_000
 
 # Largest fleet: the random baseline's keys int64(u * 2**53) * N + channel fit up to here.
@@ -96,11 +83,11 @@ class SimStats:
 
     For multi-source runs the fleet-level averages are per-slot totals over
     the fleet divided by the fleet size, and ``per_subsystem`` holds the
-    per-channel breakdown. Standard errors come from batch means: the run is
-    cut into ``B = min(100, slots // 2)`` batches of ``slots // B``
-    consecutive slots, and the last ``slots % B`` slots count in the averages
-    but in no batch. They are NaN when the horizon cannot support two
-    batches.
+    per-channel breakdown. The reward is derived from the EAoII and jam sums:
+    EAoII minus ``lam`` (0 for a fleet) per jam. Standard errors come from
+    batch means: the run is cut into ``B = min(100, slots // 2)`` batches of
+    ``slots // B`` consecutive slots, and the last ``slots % B`` slots count
+    in the averages but in no batch. They are NaN below two batches.
     """
 
     slots: int
@@ -131,10 +118,39 @@ def standard_error(values) -> float:
     return float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
-def _batch_means(series: np.ndarray) -> np.ndarray:
-    batches, length = _batch_layout(len(series))
-    trimmed = np.asarray(series[: batches * length], dtype=np.float64)
-    return trimmed.reshape(batches, length).mean(axis=1)
+def _check_run(horizon: int, channels: int = 1) -> None:
+    """Refuse a run past the horizon or fleet-size cap, before anything is drawn."""
+    if horizon <= 0:
+        raise ValueError("horizon must be positive")
+    if horizon > MAX_HORIZON:
+        raise ValueError(f"horizon must be at most {MAX_HORIZON}, got {horizon}")
+    if channels > MAX_FLEET:
+        raise ValueError(f"a fleet has at most {MAX_FLEET} subsystems, got {channels}")
+
+
+def _new_totals(channels: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero ``_add_chunk`` totals of a run: per channel, then per batch."""
+    return np.zeros((3, channels)), np.zeros((3, _batch_layout(slots)[0]))
+
+
+def _add_chunk(totals, start, slots, eaoii, aoii, jammed) -> None:
+    """Add the (chunk, channels) EAoII, true AoII and jams from slot ``start`` on to ``totals``.
+
+    ``totals`` holds their sums per channel and per batch of a ``slots``-slot
+    run (float64: the integer sums are exact below 2**53). One ``reduceat``
+    per array cuts the chunk at the batch boundaries; each piece adds to its
+    channels and, unless it lies past the last batch, to its batch.
+    """
+    channel_sums, batch_sums = totals
+    batches, length = _batch_layout(slots)
+    bounds = np.arange(start // length + 1, batches + 1) * length
+    cuts = np.concatenate(([0], bounds[bounds < start + len(eaoii)] - start))
+    batch = (start + cuts) // length
+    inside = batch < batches
+    for k, values in enumerate((eaoii, aoii, jammed)):
+        pieces = np.add.reduceat(values, cuts, axis=0)
+        channel_sums[k] += pieces.sum(axis=0)
+        batch_sums[k, batch[inside]] += pieces[inside].sum(axis=1)
 
 
 def _threshold_deliveries(u: np.ndarray, p: float, p_jam: float, n: int, last: int) -> np.ndarray:
@@ -195,10 +211,7 @@ def single_trace(
     decision time, the committed jam decision, and whether that slot's
     packet was delivered, resolved ``_CHUNK`` slots at a time by ``_resolve``.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if horizon > MAX_HORIZON:
-        raise ValueError(f"horizon must be at most {MAX_HORIZON}, got {horizon}")
+    _check_run(horizon)
     if not isinstance(policy, (ThresholdPolicy, RandomJam)):
         raise ValueError(f"a single-source run takes ThresholdPolicy or RandomJam, not {policy!r}")
 
@@ -240,10 +253,19 @@ def single_trace(
     return trace
 
 
-def _sim_stats(slots, seed, lam, averages, batch_means, per_subsystem=None) -> SimStats:
-    """SimStats from the averages and batch means of reward, EAoII, true AoII, jams."""
-    errors = [standard_error(means) for means in batch_means]
-    return SimStats(slots, seed, lam, *map(float, averages), *errors, per_subsystem)
+def _sim_stats(totals, slots, seed, lam, breakdown=False) -> SimStats:
+    """SimStats of a run's ``_add_chunk`` totals; ``breakdown`` adds the per-channel averages."""
+    channel_sums, batch_sums = totals
+    channels = channel_sums.shape[1]
+    run_sums, batch_sums = (np.vstack([x[0] - lam * x[2], x])  # reward, EAoII, true AoII, jams
+                            for x in (channel_sums.sum(axis=1, keepdims=True), batch_sums))
+    # One channel's sums are divided by the slots, as a mean is; a fleet's are scaled
+    # by 1 / (slots N). Both keep the seeded outputs of either simulator bit for bit.
+    averages = run_sums / slots if channels == 1 else run_sums * (1.0 / (slots * channels))
+    errors = [standard_error(x) for x in batch_sums / (_batch_layout(slots)[1] * channels)]
+    per_channel = enumerate((channel_sums.T / slots).tolist())
+    per_subsystem = tuple(SubsystemStats(i, *v) for i, v in per_channel) if breakdown else None
+    return SimStats(slots, seed, lam, *averages.ravel().tolist(), *errors, per_subsystem)
 
 
 def summarize_trace(
@@ -251,26 +273,20 @@ def summarize_trace(
 ) -> SimStats:
     """Statistics of a ``single_trace`` record at jamming cost ``lam``.
 
-    Per-slot reward is the EAoII of the current age minus lam when jamming;
-    the true AoII is tracked from the simulated source for the
-    tower-property checks.
+    The record is one ``_add_chunk`` chunk, its EAoII read from a ladder sized
+    to the run's oldest age; the true AoII is tracked from the simulated
+    source for the tower-property checks.
     """
     _check_cost(lam)
-    ladder = eaoii_ladder(params, int(trace["age_index"].max()) + 1)
-    eaoii = ladder[trace["age_index"]]
-    jam = trace["jammed"].astype(np.float64)
-    series = (eaoii - lam * jam, eaoii, trace["true_aoii"].astype(np.float64), jam)
-    return _sim_stats(
-        len(eaoii), seed, lam, [x.mean() for x in series], [_batch_means(x) for x in series]
-    )
+    age = trace["age_index"][:, None]
+    totals = _new_totals(1, len(age))
+    _add_chunk(totals, 0, len(age), eaoii_ladder(params, int(age.max()) + 1)[age],
+               trace["true_aoii"][:, None], trace["jammed"][:, None])
+    return _sim_stats(totals, len(age), seed, lam)
 
 
 def simulate_single(
-    params: SubsystemParams,
-    policy: PolicySpec,
-    lam: float,
-    horizon: int,
-    seed: int,
+    params: SubsystemParams, policy: PolicySpec, lam: float, horizon: int, seed: int
 ) -> SimStats:
     """Simulate one source for ``horizon`` slots under a single-source policy.
 
@@ -281,10 +297,7 @@ def simulate_single(
 
 
 def simulate_multi_batch(
-    fleet: FleetConfig,
-    policy: PolicySpec,
-    horizon: int,
-    seeds: list[int],
+    fleet: FleetConfig, policy: PolicySpec, horizon: int, seeds: list[int]
 ) -> list[SimStats]:
     """Simulate the fleet once per seed, sharing the vectorized slot loop.
 
@@ -296,41 +309,36 @@ def simulate_multi_batch(
 
     Per chunk, the index policy steps through the slots for all seeds at
     once, as its jams depend on the ages; the baseline picks a seed's jam
-    sets for the whole chunk in one call. ``_resolve`` does the rest.
+    sets for the whole chunk in one call, and at budget 0 neither policy
+    picks any. ``_resolve`` and ``_add_chunk`` do the rest, with the EAoII
+    read at each channel's true age.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     if not seeds:
         raise ValueError("at least one seed required")
     if not isinstance(policy, (WhittleJam, RandomMultiJam)):
         raise ValueError("single-source policy kind rejected for a fleet run")
-    if fleet.size > MAX_FLEET:
-        raise ValueError(f"a fleet has at most {MAX_FLEET} subsystems, got {fleet.size}")
+    _check_run(horizon, fleet.size)
     n_sub, budget, lanes = fleet.size, fleet.budget, len(seeds)
-    whittle_mode = isinstance(policy, WhittleJam)
+    looped = isinstance(policy, WhittleJam) and budget > 0
 
-    tables = {params: (eaoii_ladder(params, _TABLE_SIZE),
-                       whittle_table_closed(params, _TABLE_SIZE - 1))
-              for params in dict.fromkeys(fleet.subsystems)}
-    ladders, index_tables = (np.array([tables[params][k] for params in fleet.subsystems])
-                             for k in (0, 1))
+    classes = list(dict.fromkeys(fleet.subsystems))
+    of_class = np.array([classes.index(params) for params in fleet.subsystems])
     col = np.arange(n_sub)
     p_vec, r_vec, pj_vec = np.array(
         [(s.p, s.r, delivery_probability(s, True)) for s in fleet.subsystems]).T[:, :, None]
-    if whittle_mode:
+    if looped:
+        index_tables = np.array([whittle_table_closed(c, _TABLE_SIZE - 1) for c in classes])
         # Keys of ages 0 .. _TABLE_SIZE - 1 + _CHUNK, flat: an age clamped to the
         # table at the start of a chunk stays inside it for the whole chunk.
-        keys = np.pad(rank_keys(index_tables), ((0, 0), (0, _CHUNK)), mode="edge")
+        keys = np.pad(rank_keys(index_tables[of_class]), ((0, 0), (0, _CHUNK)), mode="edge")
         flat_keys, base = keys.ravel(), col * keys.shape[1]
 
     children = [np.random.SeedSequence(seed).spawn(n_sub + 1) for seed in seeds]
     sub_rngs = [[np.random.default_rng(c) for c in lane[:n_sub]] for lane in children]
     pol_rngs = [np.random.default_rng(lane[n_sub]) for lane in children]
     carries = [_start_carry(n_sub) for _ in seeds]
-    # Channel and batch sums of EAoII, true AoII and jams (float64: exact below 2**53).
-    sums = np.zeros((lanes, 3, n_sub))
-    n_batches, batch_len = _batch_layout(horizon)
-    batch_sums = np.zeros((lanes, 3, n_batches))
+    totals = [_new_totals(n_sub, horizon) for _ in seeds]
+    ladders = np.empty((len(classes), 0))  # EAoII by class and age, grown by doubling
 
     for start in range(0, horizon, _CHUNK):
         chunk = min(_CHUNK, horizon - start)
@@ -344,7 +352,7 @@ def simulate_multi_batch(
                     rng.random(out=row)
                 np.less(u, prob, out=out[:, s].T)
             np.less(u, p_vec, out=maybe[:, s].T)
-        if whittle_mode:
+        if looped:
             start_ages = start - 1 - (np.array([carry[0] for carry in carries]) >> 1)
             lookup = base + np.minimum(start_ages, _TABLE_SIZE - 1)
             masks, deliveries = np.empty((2, chunk, lanes, n_sub), dtype=bool)
@@ -352,10 +360,11 @@ def simulate_multi_batch(
                 mask = masks[j] = jam_mask(flat_keys[lookup], budget)
                 delivered = deliveries[j] = np.where(mask, sure[j], maybe[j])
                 lookup = np.where(delivered, base, lookup + 1)
-        batch = np.arange(start, start + chunk) // batch_len
         for s in range(lanes):
-            if whittle_mode:
+            if looped:
                 mask, delivered = masks[:, s], deliveries[:, s]
+            elif budget == 0:
+                mask, delivered = np.zeros((chunk, n_sub), dtype=bool), maybe[:, s]
             else:
                 # The lowest uniform of each slot wins, ties to the lower channel;
                 # random() returns multiples of 2**-53, so the keys are exact.
@@ -369,18 +378,9 @@ def simulate_multi_batch(
                     f"slot {start + bad}: jammed {jams[bad]} channels, budget {budget}")
             age, aoii = np.empty((2, chunk, n_sub), dtype=np.int64)
             carries[s] = _resolve(delivered, flips[:, s], start, carries[s], age, aoii)
-            per_slot = (ladders[col, np.minimum(age, _TABLE_SIZE - 1)], aoii, mask)
-            for k, values in enumerate(per_slot):
-                sums[s, k] += values.sum(axis=0)
-                batch_sums[s, k] += np.bincount(
-                    batch, weights=values.sum(axis=1), minlength=n_batches)[:n_batches]
+            if age.max() >= ladders.shape[1]:
+                size = min(2 * int(age.max()) + 2, horizon)
+                ladders = np.array([eaoii_ladder(params, size) for params in classes])
+            _add_chunk(totals[s], start, horizon, ladders[of_class, age], aoii, mask)
 
-    averages = sums.sum(axis=2) * (1.0 / (horizon * n_sub))
-    batch_means = batch_sums / (batch_len * n_sub)
-    per_channel = sums.transpose(0, 2, 1) / horizon
-    rows = [0, 0, 1, 2]  # reward, EAoII, true AoII, jams: the reward is the EAoII at lam = 0
-    return [
-        _sim_stats(horizon, seed, 0.0, averages[s, rows], batch_means[s, rows],
-                   tuple(SubsystemStats(i, *v) for i, v in enumerate(per_channel[s].tolist())))
-        for s, seed in enumerate(seeds)
-    ]
+    return [_sim_stats(t, horizon, seed, 0.0, breakdown=True) for t, seed in zip(totals, seeds)]

@@ -113,9 +113,7 @@ def whittle_table_closed(params: SubsystemParams, n_max: int) -> np.ndarray:
     return lambda_curve(params, n_max)
 
 
-def whittle_index_iterative(
-    params: SubsystemParams, n_max: int, scan_margin: int = SCAN_MARGIN
-) -> np.ndarray:
+def whittle_index_iterative(params: SubsystemParams, n_max: int) -> np.ndarray:
     """Index table built by the iterative infimum construction.
 
     Starting from an empty assigned set with boundary age 0, each step finds
@@ -133,9 +131,7 @@ def whittle_index_iterative(
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if scan_margin < 1:
-        raise ValueError("scan_margin must be >= 1")
-    bound = n_max + scan_margin
+    bound = n_max + SCAN_MARGIN
     table = np.empty(n_max + 1)
     boundary = 0
     while boundary <= n_max:

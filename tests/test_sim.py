@@ -13,6 +13,7 @@ from aoii_jam.core import (
     ThresholdPolicy,
     avg_aat_closed,
     avg_eaoii_closed,
+    eaoii_ladder,
     stationary_pmf,
 )
 from aoii_jam.sim import (
@@ -22,7 +23,7 @@ from aoii_jam.sim import (
     simulate_multi_batch,
     simulate_single,
     single_trace,
-    standard_error,
+    summarize_trace,
 )
 from aoii_jam.whittle import FleetConfig
 from reference import GroundTruthState, initial_state, step_subsystem
@@ -248,6 +249,19 @@ class TestSingleSource:
         with pytest.raises(ValueError, match="horizon must be at most 50, got 51"):
             simulate_single(REF, RandomJam(0.5), 0.0, 51, seed=0)
 
+    def test_summary_memory_bounded(self):
+        # The summary holds one horizon-length float array (the EAoII read off
+        # the ladder) and one counting temporary at a time, nothing more.
+        horizon = 200_000
+        trace = single_trace(REF, RandomJam(0.5), horizon, seed=3)
+        tracemalloc.start()
+        try:
+            summarize_trace(REF, trace, 1.0, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * horizon + 500_000
+
     def test_ergodic_means_near_closed_forms(self):
         stats = simulate_single(REF, ThresholdPolicy(2), 0.0, 200_000, seed=11)
         assert abs(stats.avg_eaoii - avg_eaoii_closed(REF, 2)) < 4 * stats.se_eaoii
@@ -264,15 +278,42 @@ class TestSingleSource:
         assert tv < 0.02
 
 
+def summary_of_series(series: np.ndarray, chunk: int):
+    """SimStats of a one-channel run whose EAoII is ``series``, added ``chunk`` slots at a time."""
+    slots = len(series)
+    totals = sim_mod._new_totals(1, slots)
+    zeros = np.zeros((slots, 1), dtype=np.int64)
+    for start in range(0, slots, chunk):
+        stop = start + chunk
+        sim_mod._add_chunk(totals, start, slots, series[start:stop, None],
+                           zeros[start:stop], zeros[start:stop].astype(bool))
+    return sim_mod._sim_stats(totals, slots, seed=0, lam=0.0)
+
+
 class TestBatchStandardError:
     def test_iid_scaling(self):
         rng = np.random.default_rng(0)
         series = rng.normal(size=100_000)
-        se = standard_error(sim_mod._batch_means(series))
+        se = summary_of_series(series, len(series)).se_eaoii
         assert se == pytest.approx(1.0 / np.sqrt(len(series)), rel=0.2)
 
+    @pytest.mark.parametrize("chunk", [100_000, 4096, 777])
+    def test_chunks_sum_to_the_batch_means(self, chunk):
+        series = np.random.default_rng(1).normal(size=100_000)
+        stats = summary_of_series(series, chunk)
+        means = series.reshape(100, 1000).mean(axis=1)
+        assert stats.se_eaoii == pytest.approx(means.std(ddof=1) / 10, rel=1e-12)
+        assert stats.avg_eaoii == pytest.approx(series.mean(), rel=1e-9, abs=1e-15)
+
     def test_short_series_is_nan(self):
-        assert np.isnan(standard_error(sim_mod._batch_means(np.array([1.0, 2.0, 3.0]))))
+        assert np.isnan(summary_of_series(np.array([1.0, 2.0, 3.0]), 1).se_eaoii)
+
+    def test_tail_counts_in_the_averages_only(self):
+        # 1,005 slots make 100 batches of 10; the last 5 slots are in no batch.
+        series = np.r_[np.zeros(1_000), np.full(5, 1e6)]
+        stats = summary_of_series(series, 7)
+        assert stats.avg_eaoii == 5e6 / 1_005
+        assert stats.se_eaoii == 0.0
 
 
 class TestMultiSource:
@@ -292,6 +333,13 @@ class TestMultiSource:
     def test_single_policy_rejected(self):
         with pytest.raises(ValueError):
             simulate_multi_batch(TWO_CLASS, ThresholdPolicy(2), 100, [0])
+
+    def test_horizon_cap(self, monkeypatch):
+        monkeypatch.setattr(sim_mod, "MAX_HORIZON", 50)
+        assert simulate_multi_batch(TWO_CLASS, RandomMultiJam(), 50, [0])[0].slots == 50
+        for policy in (WhittleJam(), RandomMultiJam()):
+            with pytest.raises(ValueError, match="horizon must be at most 50, got 51"):
+                simulate_multi_batch(TWO_CLASS, policy, 51, [0])
 
     def test_fleet_size_cap(self, monkeypatch):
         too_big = FleetConfig((REF,) * (sim_mod.MAX_FLEET + 1), 1)
@@ -323,15 +371,52 @@ class TestMultiSource:
     )
     def test_fleet_of_one_is_a_single_source(self, params, horizon, seed):
         # Up to one draw chunk (4096 slots) a lone channel sees the same
-        # uniforms as a single-source run, so both must report the same
-        # averages and, with one batch layout, the same standard errors.
+        # uniforms as a single-source run, and both summaries reduce that
+        # one chunk the same way: every average and error is bitwise equal.
         fleet = simulate_multi_batch(FleetConfig((params,), 0), WhittleJam(), horizon, [seed])[0]
         single = simulate_single(params, ThresholdPolicy(INFINITE), 0.0, horizon, seed)
         for name in ("avg_reward", "avg_eaoii", "avg_true_aoii", "avg_aat",
                      "se_reward", "se_eaoii", "se_true_aoii", "se_aat"):
             a, b = getattr(fleet, name), getattr(single, name)
-            assert (math.isnan(a) and math.isnan(b)) or math.isclose(
-                a, b, rel_tol=1e-12, abs_tol=1e-12), (name, a, b)
+            assert (math.isnan(a) and math.isnan(b)) or a == b, (name, a, b)
+
+    def test_eaoii_read_at_the_true_age(self):
+        # A channel that delivers with probability 1e-9 does not deliver in
+        # 10^4 slots at this seed, so its age in slot t is t, far past the
+        # 4,096 ages of the index table.
+        params = SubsystemParams(1e-9, 0.5, 1e-4)
+        ages = single_trace(params, ThresholdPolicy(INFINITE), 10_000, seed=4)["age_index"]
+        assert (ages == np.arange(10_000)).all()
+        stats = simulate_multi_batch(FleetConfig((params,), 0), WhittleJam(), 10_000, [4])[0]
+        assert stats.avg_eaoii == pytest.approx(eaoii_ladder(params, 10_000).mean(), rel=1e-12)
+
+    def test_eaoii_ladder_grows_by_doubling(self, monkeypatch):
+        # A channel that never delivers ages by 4,096 in each of 25 chunks;
+        # sized to twice the oldest age, the ladder is built 4 times, not 25.
+        params = SubsystemParams(1e-9, 0.5, 1e-4)
+        sizes = []
+
+        def ladder(p, size):
+            sizes.append(size)
+            return eaoii_ladder(p, size)
+
+        monkeypatch.setattr(sim_mod, "eaoii_ladder", ladder)
+        stats = simulate_multi_batch(FleetConfig((params,), 0), RandomMultiJam(), 100_000, [4])[0]
+        assert sizes == [8_192, 24_576, 57_344, 100_000]
+        assert stats.avg_eaoii == pytest.approx(eaoii_ladder(params, 100_000).mean(), rel=1e-12)
+
+    def test_budget_zero_skips_the_slot_loop(self, monkeypatch):
+        # With no jams to choose, the index policy runs like the baseline:
+        # same streams, same deliveries, never a selection.
+        fleet = FleetConfig(subsystems=TWO_CLASS.subsystems, budget=0)
+        expected = simulate_multi_batch(fleet, RandomMultiJam(), 5_000, [1, 2])
+
+        def select(keys, budget):
+            pytest.fail("a budget-0 fleet selected jams")
+
+        monkeypatch.setattr(sim_mod, "jam_mask", select)
+        assert simulate_multi_batch(fleet, WhittleJam(), 5_000, [1, 2]) == expected
+        assert simulate_multi_batch(fleet, RandomMultiJam(), 5_000, [1, 2]) == expected
 
     def test_unjammed_fleet_matches_single_never(self):
         fleet = FleetConfig(subsystems=(REF, REF), budget=0)

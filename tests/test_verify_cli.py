@@ -292,6 +292,23 @@ class TestCliCommands:
         assert run_cli("sweep-lambda", "--params", "0.9,0.9,0.1", "--lambda-min", "-1",
                        "--horizon", "2000000") == 2
 
+    def test_multi_sim_checks_every_fleet_before_simulating(self, monkeypatch, capsys):
+        def simulate(*args):
+            pytest.fail("simulated before every fleet was checked")
+
+        monkeypatch.setattr(cli_mod, "simulate_multi_batch", simulate)
+        classes = ("multi-sim", "--classes", "0.2,0.2,0.4,0.5;0.8,0.8,0.2,0.5")
+        # N = 5 cannot be split 50/50; N = 2048 is past the fleet cap; the
+        # horizon is past the 10^7-slot cap.
+        assert run_cli(*classes, "--n-list", "40,5", "--horizon", "100000") == 2
+        assert run_cli(*classes, "--n-list", "4,2048", "--horizon", "1000") == 2
+        assert run_cli(*classes, "--n-list", "4", "--horizon", "10000001") == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 3
+        assert errors[0].startswith("error: class fractions") and "[2, 2]" in errors[0]
+        assert errors[1:] == ["error: a fleet has at most 1024 subsystems, got 2048",
+                              "error: horizon must be at most 10000000, got 10000001"]
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"params": "0.9,0.9,0.1", "horizon": 300, "seed": 5}))

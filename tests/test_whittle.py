@@ -74,8 +74,6 @@ class TestIterativeIndex:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             whittle_index_iterative(REF, -1)
-        with pytest.raises(ValueError):
-            whittle_index_iterative(REF, 10, scan_margin=0)
 
 
 class TestIndexability:
