@@ -32,9 +32,6 @@ __all__ = [
     "simulate_single", "single_trace", "summarize_trace", "simulate_multi_batch", "standard_error",
 ]
 
-# Ages covered by the fleet's index table; older ages rank by the index of age 4,095.
-_TABLE_SIZE = 4096
-
 # Slots per draw chunk and per array pass of both simulators.
 _CHUNK = 4096
 
@@ -310,8 +307,9 @@ def simulate_multi_batch(
     Per chunk, the index policy steps through the slots for all seeds at
     once, as its jams depend on the ages; the baseline picks a seed's jam
     sets for the whole chunk in one call, and at budget 0 neither policy
-    picks any. ``_resolve`` and ``_add_chunk`` do the rest, with the EAoII
-    read at each channel's true age.
+    picks any. ``_resolve`` and ``_add_chunk`` do the rest. Both per-class
+    tables, the index ranks and the EAoII ladder, grow before any chunk that
+    could outrun them, so each channel is ranked and read at its true age.
     """
     if not seeds:
         raise ValueError("at least one seed required")
@@ -326,22 +324,25 @@ def simulate_multi_batch(
     col = np.arange(n_sub)
     p_vec, r_vec, pj_vec = np.array(
         [(s.p, s.r, delivery_probability(s, True)) for s in fleet.subsystems]).T[:, :, None]
-    if looped:
-        index_tables = np.array([whittle_table_closed(c, _TABLE_SIZE - 1) for c in classes])
-        # Keys of ages 0 .. _TABLE_SIZE - 1 + _CHUNK, flat: an age clamped to the
-        # table at the start of a chunk stays inside it for the whole chunk.
-        keys = np.pad(rank_keys(index_tables[of_class]), ((0, 0), (0, _CHUNK)), mode="edge")
-        flat_keys, base = keys.ravel(), col * keys.shape[1]
 
     children = [np.random.SeedSequence(seed).spawn(n_sub + 1) for seed in seeds]
     sub_rngs = [[np.random.default_rng(c) for c in lane[:n_sub]] for lane in children]
     pol_rngs = [np.random.default_rng(lane[n_sub]) for lane in children]
     carries = [_start_carry(n_sub) for _ in seeds]
     totals = [_new_totals(n_sub, horizon) for _ in seeds]
-    ladders = np.empty((len(classes), 0))  # EAoII by class and age, grown by doubling
+    width = 0  # ages covered by the per-class tables
 
     for start in range(0, horizon, _CHUNK):
         chunk = min(_CHUNK, horizon - start)
+        start_ages = start - 1 - (np.array([carry[0] for carry in carries]) >> 1)
+        # Every age of the chunk is below its oldest start age plus the chunk.
+        bound = int(start_ages.max()) + chunk
+        if bound > width:
+            width = min(2 * bound, horizon)
+            ladders = np.array([eaoii_ladder(params, width) for params in classes])
+            if looped:
+                tables = np.array([whittle_table_closed(c, width - 1) for c in classes])
+                flat_keys, base = rank_keys(tables, n_sub).ravel(), of_class * width
         u = np.empty((n_sub, chunk))
         # Per (slot, seed, channel): the source flips, and whether the packet
         # gets through if jammed (sure) and if not (maybe).
@@ -353,11 +354,10 @@ def simulate_multi_batch(
                 np.less(u, prob, out=out[:, s].T)
             np.less(u, p_vec, out=maybe[:, s].T)
         if looped:
-            start_ages = start - 1 - (np.array([carry[0] for carry in carries]) >> 1)
-            lookup = base + np.minimum(start_ages, _TABLE_SIZE - 1)
+            lookup = base + start_ages
             masks, deliveries = np.empty((2, chunk, lanes, n_sub), dtype=bool)
             for j in range(chunk):
-                mask = masks[j] = jam_mask(flat_keys[lookup], budget)
+                mask = masks[j] = jam_mask(flat_keys[lookup] + col, budget)
                 delivered = deliveries[j] = np.where(mask, sure[j], maybe[j])
                 lookup = np.where(delivered, base, lookup + 1)
         for s in range(lanes):
@@ -378,9 +378,6 @@ def simulate_multi_batch(
                     f"slot {start + bad}: jammed {jams[bad]} channels, budget {budget}")
             age, aoii = np.empty((2, chunk, n_sub), dtype=np.int64)
             carries[s] = _resolve(delivered, flips[:, s], start, carries[s], age, aoii)
-            if age.max() >= ladders.shape[1]:
-                size = min(2 * int(age.max()) + 2, horizon)
-                ladders = np.array([eaoii_ladder(params, size) for params in classes])
             _add_chunk(totals[s], start, horizon, ladders[of_class, age], aoii, mask)
 
     return [_sim_stats(t, horizon, seed, 0.0, breakdown=True) for t, seed in zip(totals, seeds)]

@@ -427,7 +427,7 @@ def check_rvi_consistency(grid) -> dict:
 
 
 def check_select_jam_set(grid) -> dict:
-    """The fleet simulator's selection, rank keys and ``jam_mask``, equals ``select_jam_set``.
+    """The fleet simulator's selection, per-kind ranks plus the channel, equals ``select_jam_set``.
 
     Channels draw (params, age) from small pools, so equal index values,
     and with them the lower-id tie-break, occur in most fleets.
@@ -438,12 +438,13 @@ def check_select_jam_set(grid) -> dict:
     for _ in range(40):
         size = int(rng.integers(1, 13))
         kinds = [pool[int(i)] for i in rng.integers(0, len(pool), size=3)]
-        channel_params = [kinds[int(i)] for i in rng.integers(0, 3, size=size)]
+        of_kind = rng.integers(0, 3, size=size)
+        channel_params = [kinds[int(i)] for i in of_kind]
         ages = rng.integers(0, 6, size=(4, size))
         budget = int(rng.integers(0, size + 1))
-        keys = whittle.rank_keys(np.array([whittle.whittle_table_closed(params, 5)
-                                           for params in channel_params]))
-        masks = whittle.jam_mask(keys[np.arange(size), ages], budget)
+        ranks = whittle.rank_keys(np.array([whittle.whittle_table_closed(params, 5)
+                                            for params in kinds]), size)
+        masks = whittle.jam_mask(ranks[of_kind, ages] + np.arange(size), budget)
         for lane, mask in zip(ages, masks):
             fleet = [
                 whittle.SubsystemState(subsystem_id=i, params=params, age=int(age))

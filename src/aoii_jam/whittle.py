@@ -204,16 +204,15 @@ def select_jam_set(fleet: list[SubsystemState], budget: int) -> set[int]:
     return {sub.subsystem_id for sub in ranked[:budget]}
 
 
-def rank_keys(tables: np.ndarray) -> np.ndarray:
-    """``jam_mask`` keys of a (channels, ages) array of index values.
+def rank_keys(tables: np.ndarray, channels: int) -> np.ndarray:
+    """Each index value's dense descending rank in ``tables``, times ``channels``.
 
-    A key is the value's dense descending rank in the array (equal values, +0
-    and -0 too, share one) times the channel count, plus the channel: the
-    smallest keys are the highest values, ties to the lower channel.
+    Equal values, +0 and -0 too, share one rank. A rank plus a channel below
+    ``channels`` is a ``jam_mask`` key: the smallest keys are the highest
+    values, ties to the lower channel.
     """
     _, rank = np.unique(-tables, return_inverse=True)
-    channels = len(tables)
-    return rank.reshape(tables.shape) * channels + np.arange(channels)[:, None]
+    return rank.reshape(tables.shape) * channels
 
 
 def jam_mask(keys: np.ndarray, budget: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from aoii_jam.core import (
     avg_aat_closed,
     avg_eaoii_closed,
     eaoii_ladder,
+    lambda_curve,
     stationary_pmf,
 )
 from aoii_jam.sim import (
@@ -382,8 +383,8 @@ class TestMultiSource:
 
     def test_eaoii_read_at_the_true_age(self):
         # A channel that delivers with probability 1e-9 does not deliver in
-        # 10^4 slots at this seed, so its age in slot t is t, far past the
-        # 4,096 ages of the index table.
+        # 10^4 slots at this seed, so its age in slot t is t, past the 8,192
+        # ages the tables are first built for.
         params = SubsystemParams(1e-9, 0.5, 1e-4)
         ages = single_trace(params, ThresholdPolicy(INFINITE), 10_000, seed=4)["age_index"]
         assert (ages == np.arange(10_000)).all()
@@ -404,6 +405,66 @@ class TestMultiSource:
         stats = simulate_multi_batch(FleetConfig((params,), 0), RandomMultiJam(), 100_000, [4])[0]
         assert sizes == [8_192, 24_576, 57_344, 100_000]
         assert stats.avg_eaoii == pytest.approx(eaoii_ladder(params, 100_000).mean(), rel=1e-12)
+
+    def test_index_ranked_at_the_true_age(self, monkeypatch):
+        # Two slow channels outgrow the first tables; with one jam a slot,
+        # channel 1 is jammed exactly when its index is the higher one, ties
+        # to channel 0, at every age, however old.
+        params = SubsystemParams(0.0005, 0.9, 1e-4)
+        ages, masks = [], []
+        real_resolve, real_add = sim_mod._resolve, sim_mod._add_chunk
+
+        def resolve(delivered, flips, start, carry, age, aoii):
+            carry = real_resolve(delivered, flips, start, carry, age, aoii)
+            ages.append(age.copy())
+            return carry
+
+        def add_chunk(totals, start, slots, eaoii, aoii, jammed):
+            masks.append(jammed.copy())
+            real_add(totals, start, slots, eaoii, aoii, jammed)
+
+        monkeypatch.setattr(sim_mod, "_resolve", resolve)
+        monkeypatch.setattr(sim_mod, "_add_chunk", add_chunk)
+        simulate_multi_batch(FleetConfig((params,) * 2, 1), WhittleJam(), 20_000, [2])
+        age, mask = np.concatenate(ages), np.concatenate(masks)
+        assert age.max() > 4_095
+        index = lambda_curve(params, int(age.max()))[age]
+        assert (mask[:, 1] == (index[:, 1] > index[:, 0])).all()
+
+    def test_both_tables_grow_on_one_schedule(self, monkeypatch):
+        # Two channels that never deliver, one jammed each slot: the index
+        # table and the EAoII ladder are rebuilt together, sized to twice
+        # the oldest age a chunk could reach.
+        params = SubsystemParams(1e-9, 0.5, 1e-4)
+        index_ages, sizes = [], []
+
+        def table(p, n_max):
+            index_ages.append(n_max)
+            return lambda_curve(p, n_max)
+
+        def ladder(p, size):
+            sizes.append(size)
+            return eaoii_ladder(p, size)
+
+        monkeypatch.setattr(sim_mod, "whittle_table_closed", table)
+        monkeypatch.setattr(sim_mod, "eaoii_ladder", ladder)
+        simulate_multi_batch(FleetConfig((params,) * 2, 1), WhittleJam(), 100_000, [4])
+        assert index_ages == [8_191, 24_575, 57_343, 99_999]
+        assert sizes == [8_192, 24_576, 57_344, 100_000]
+
+    def test_table_memory_grows_with_classes_not_channels(self):
+        # 20 channels that never deliver reach age 19,999, so both tables grow
+        # to the horizon; they are per class, so 40 channels cost two rows each.
+        fleet = FleetConfig.from_classes(
+            [(SubsystemParams(1e-9, 0.5, 1e-4), 0.5), (SubsystemParams(0.8, 0.8, 0.2), 0.5)],
+            40, 20)
+        tracemalloc.start()
+        try:
+            simulate_multi_batch(fleet, WhittleJam(), 20_000, [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24_000_000
 
     def test_budget_zero_skips_the_slot_loop(self, monkeypatch):
         # With no jams to choose, the index policy runs like the baseline:

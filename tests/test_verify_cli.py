@@ -64,13 +64,13 @@ class TestVerifySuite:
         assert report["passed"]
 
     def test_selection_tie_to_the_higher_channel_fails_with_witness(self, monkeypatch):
-        real = whittle_mod.rank_keys
+        real = whittle_mod.jam_mask
 
-        def tie_to_higher(tables):
-            channels = len(tables)
-            return real(tables) // channels * channels + np.arange(channels)[::-1, None]
+        def tie_to_higher(keys, budget):
+            n = keys.shape[-1]
+            return real(keys // n * n + (n - 1 - keys % n), budget)
 
-        monkeypatch.setattr(whittle_mod, "rank_keys", tie_to_higher)
+        monkeypatch.setattr(whittle_mod, "jam_mask", tie_to_higher)
         check = run_checks(names=["select_jam_set_vs_sort"])["checks"][0]
         assert not check["passed"]
         assert {"fleet_size", "budget", "ages"} == set(check["witness"])
