@@ -276,7 +276,7 @@ def _parse_policy(text: str):
 MAX_GRID_POINTS = 10_000_000
 
 
-def _lambda_grid(opts) -> list[float]:
+def _lambda_grid(opts) -> np.ndarray:
     """The lambda grid, every 10th point unless ``full``."""
     lo, hi, step = opts["lambda-min"], opts["lambda-max"], opts["lambda-step"]
     if step <= 0:
@@ -288,8 +288,7 @@ def _lambda_grid(opts) -> list[float]:
     if count > MAX_GRID_POINTS:
         raise ConfigError(f"--lambda-step: the grid from --lambda-min to --lambda-max would have "
                           f"{steps + 1:.10g} points, more than {MAX_GRID_POINTS}")
-    grid = lo + step * np.arange(count)
-    return [float(lam) for lam in grid[:: 1 if opts["full"] else 10]]
+    return (lo + step * np.arange(count))[:: 1 if opts["full"] else 10]
 
 
 def _header(opts) -> dict:

@@ -26,7 +26,7 @@ from aoii_jam.sim import (
     single_trace,
     summarize_trace,
 )
-from aoii_jam.whittle import FleetConfig
+from aoii_jam.whittle import FleetConfig, SubsystemState, select_jam_set
 from reference import GroundTruthState, initial_state, step_subsystem
 
 REF = SubsystemParams(p=0.9, q=0.9, r=0.1)
@@ -40,54 +40,42 @@ TWO_CLASS = FleetConfig(
 # Seeded fleet runs of the two classes of TWO_CLASS at budget N/2, seeds 0-2,
 # over 4,133 slots: more than one draw chunk, and not a multiple of the 100
 # batches. Recorded from the slot-by-slot fleet simulator, before the chunked
-# one replaced it. Per run: avg_true_aoii, avg_aat, se_true_aoii, se_aat,
-# avg_eaoii, se_eaoii, then per channel the true-AoII sum and the jam count.
+# one replaced it. Per run: se_true_aoii, se_aat, avg_eaoii, se_eaoii, then
+# per channel the true-AoII sum and the jam count.
 GOLDEN_HORIZON = 4_133
 FLEET_GOLDEN = {
     ("whittle", 4): [
-        (0.9087224776191628, 0.5, 0.031583938396194625, 0.0,
-         0.8648793207175457, 0.012030621548953098,
+        (0.031583938396194625, 0.0, 0.8648793207175457, 0.012030621548953098,
          [2971, 2897, 4726, 4429], [0, 0, 4133, 4133]),
-        (0.8594846358577304, 0.5, 0.02676723760913155, 0.0,
-         0.8976457292551105, 0.011181058742636755,
+        (0.02676723760913155, 0.0, 0.8976457292551105, 0.011181058742636755,
          [3005, 3336, 3895, 3973], [0, 0, 4133, 4133]),
-        (0.8470844422937334, 0.5, 0.029668458049938295, 0.0,
-         0.8552854098393612, 0.010199559975409656,
+        (0.029668458049938295, 0.0, 0.8552854098393612, 0.010199559975409656,
          [3098, 2843, 3864, 4199], [0, 0, 4133, 4133]),
     ],
     ("whittle", 8): [
-        (0.8691023469634648, 0.5, 0.019107728137143898, 0.0,
-         0.8767365175283175, 0.00878568297583067,
+        (0.019107728137143898, 0.0, 0.8767365175283175, 0.00878568297583067,
          [2971, 2897, 2889, 3060, 3770, 3787, 4517, 4845], [0, 0, 0, 0, 4133, 4133, 4133, 4133]),
-        (0.8999516090007258, 0.5, 0.02092928169481073, 0.0,
-         0.8843940837155507, 0.0077256551942464936,
+        (0.02092928169481073, 0.0, 0.8843940837155507, 0.0077256551942464936,
          [3005, 3336, 3189, 2951, 4363, 4263, 4403, 4246], [0, 0, 0, 0, 4133, 4133, 4133, 4133]),
-        (0.8997398983789014, 0.5, 0.02105235915612531, 0.0,
-         0.8776913998097462, 0.008678916127471226,
+        (0.02105235915612531, 0.0, 0.8776913998097462, 0.008678916127471226,
          [3098, 2843, 2725, 3102, 4387, 4391, 4707, 4496], [0, 0, 0, 0, 4133, 4133, 4133, 4133]),
     ],
     ("random", 4): [
-        (0.5029034599564481, 0.5, 0.013175150728197083, 0.0,
-         0.505044977535773, 0.004991804739274866,
+        (0.013175150728197083, 0.0, 0.505044977535773, 0.004991804739274866,
          [3233, 3050, 1043, 988], [2110, 2059, 2046, 2051]),
-        (0.5331478345027825, 0.5, 0.014589506523494559, 0.0,
-         0.5137443234891541, 0.005710306800142851,
+        (0.014589506523494559, 0.0, 0.5137443234891541, 0.005710306800142851,
          [3104, 3375, 1215, 1120], [1999, 2119, 2055, 2093]),
-        (0.5040527461892088, 0.5, 0.015794353419418827, 0.0,
-         0.5075900458595358, 0.0054203966618411896,
+        (0.015794353419418827, 0.0, 0.5075900458595358, 0.0054203966618411896,
          [3244, 3001, 1070, 1018], [2050, 2033, 2069, 2114]),
     ],
     ("random", 8): [
-        (0.5129143479312848, 0.5, 0.009675996155630863, 0.0,
-         0.5073796601846632, 0.004008772807808611,
+        (0.009675996155630863, 0.0, 0.5073796601846632, 0.004008772807808611,
          [3194, 3046, 3025, 3336, 1049, 1170, 1085, 1054],
          [2071, 2117, 2007, 2064, 2060, 2118, 2050, 2045]),
-        (0.5248306315025405, 0.5, 0.011332941707856878, 0.0,
-         0.5178634581070461, 0.004092802865063744,
+        (0.011332941707856878, 0.0, 0.5178634581070461, 0.004092802865063744,
          [3140, 3571, 3388, 3102, 1211, 910, 1048, 983],
          [2041, 2049, 2023, 2055, 2123, 2041, 2137, 2063]),
-        (0.49682434067263487, 0.5, 0.009772088148050296, 0.0,
-         0.5104501568624372, 0.003642168340824036,
+        (0.009772088148050296, 0.0, 0.5104501568624372, 0.003642168340824036,
          [3116, 3016, 2837, 3348, 959, 1030, 1160, 961],
          [2014, 2087, 2138, 2093, 2040, 2056, 2033, 2071]),
     ],
@@ -331,6 +319,27 @@ class TestMultiSource:
         with pytest.raises(RuntimeError, match="slot 0: jammed 0 channels, budget 2"):
             simulate_multi_batch(TWO_CLASS, policy, 10, [0])
 
+    @pytest.mark.parametrize("policy, drops", [
+        (WhittleJam(), {3: 2, 5: 1}), (RandomMultiJam(), {1: 5, 2: 3})], ids=["whittle", "random"])
+    def test_budget_checked_lane_by_lane_in_seed_order(self, monkeypatch, policy, drops):
+        # The index policy selects one slot for every lane per call, the baseline
+        # one lane's chunk per call. Either way this drops a jam from the second
+        # lane at slot 5 and from the third at slot 3: the error names the
+        # first lane's first bad slot.
+        real, calls = sim_mod.jam_mask, []
+
+        def select(keys, budget):
+            mask = real(keys, budget)
+            row = drops.get(len(calls))
+            if row is not None:
+                mask[row, np.flatnonzero(mask[row])[0]] = False
+            calls.append(keys.shape)
+            return mask
+
+        monkeypatch.setattr(sim_mod, "jam_mask", select)
+        with pytest.raises(RuntimeError, match="^slot 5: jammed 1 channels, budget 2$"):
+            simulate_multi_batch(TWO_CLASS, policy, 10, [0, 1, 2])
+
     def test_single_policy_rejected(self):
         with pytest.raises(ValueError):
             simulate_multi_batch(TWO_CLASS, ThresholdPolicy(2), 100, [0])
@@ -350,10 +359,13 @@ class TestMultiSource:
         with pytest.raises(ValueError, match="at most 3 subsystems, got 4"):
             simulate_multi_batch(TWO_CLASS, WhittleJam(), 1, [0])
 
-    def test_batching_invariance(self):
-        alone = simulate_multi_batch(TWO_CLASS, WhittleJam(), 3_000, [21])[0]
-        batched = simulate_multi_batch(TWO_CLASS, WhittleJam(), 3_000, [21, 22, 23])
-        assert alone == batched[0]
+    @pytest.mark.parametrize("budget", [0, 2])
+    @pytest.mark.parametrize("policy", [WhittleJam(), RandomMultiJam()], ids=["whittle", "random"])
+    def test_batching_invariance(self, policy, budget):
+        fleet = FleetConfig(TWO_CLASS.subsystems, budget)
+        alone = simulate_multi_batch(fleet, policy, 3_000, [22])[0]
+        batched = simulate_multi_batch(fleet, policy, 3_000, [21, 22, 23])
+        assert alone == batched[1]
 
     def test_fleet_average_consistent_with_breakdown(self):
         stats = simulate_multi_batch(TWO_CLASS, RandomMultiJam(), 5_000, [2])[0]
@@ -380,6 +392,49 @@ class TestMultiSource:
                      "se_reward", "se_eaoii", "se_true_aoii", "se_aat"):
             a, b = getattr(fleet, name), getattr(single, name)
             assert (math.isnan(a) and math.isnan(b)) or a == b, (name, a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_jam_sets_follow_the_index(self, data):
+        # Small fleets in chunks of a few slots: every chunk carries ages
+        # across, and the tables grow many times. At every slot of every lane
+        # the jammed channels are the ones select_jam_set picks at its ages.
+        params = st.builds(SubsystemParams, p=st.floats(0.05, 1.0),
+                           q=st.one_of(st.just(0.0), st.floats(0.0, 0.95)), r=st.floats(0.02, 0.5))
+        classes = data.draw(st.lists(params, min_size=2, max_size=3, unique=True))
+        extra = data.draw(st.lists(st.sampled_from(classes), max_size=6 - len(classes)))
+        subsystems = data.draw(st.permutations(classes + extra))
+        budget = data.draw(st.integers(0, len(subsystems) - 1))
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=3, unique=True))
+        horizon = data.draw(st.integers(1, 300))
+        chunk = data.draw(st.integers(1, 9))
+        ages, masks = [], []
+        real_resolve, real_add = sim_mod._resolve, sim_mod._add_chunk
+
+        def resolve(delivered, flips, start, carry, age, aoii):
+            carry = real_resolve(delivered, flips, start, carry, age, aoii)
+            ages.append(age.copy())
+            return carry
+
+        def add_chunk(totals, start, slots, eaoii, aoii, jammed):
+            masks.append(jammed.copy())
+            real_add(totals, start, slots, eaoii, aoii, jammed)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim_mod, "_CHUNK", chunk)
+            patch.setattr(sim_mod, "_resolve", resolve)
+            patch.setattr(sim_mod, "_add_chunk", add_chunk)
+            fleet = FleetConfig(tuple(subsystems), budget)
+            simulate_multi_batch(fleet, WhittleJam(), horizon, seeds)
+        # Captured chunk by chunk, and within a chunk lane by lane.
+        for lane in range(len(seeds)):
+            lane_ages = np.concatenate(ages[lane::len(seeds)])
+            lane_masks = np.concatenate(masks[lane::len(seeds)])
+            assert len(lane_ages) == len(lane_masks) == horizon
+            for slot, (age, mask) in enumerate(zip(lane_ages.tolist(), lane_masks)):
+                states = [SubsystemState(i, p, a) for i, (p, a) in enumerate(zip(subsystems, age))]
+                assert set(np.flatnonzero(mask).tolist()) == select_jam_set(states, budget), (
+                    lane, slot, age)
 
     def test_eaoii_read_at_the_true_age(self):
         # A channel that delivers with probability 1e-9 does not deliver in
@@ -515,9 +570,10 @@ class TestMultiSource:
         runs = simulate_multi_batch(fleet, policy, GOLDEN_HORIZON, [0, 1, 2])
         name = "whittle" if isinstance(policy, WhittleJam) else "random"
         for stats, expected in zip(runs, FLEET_GOLDEN[(name, n_total)], strict=True):
-            true, aat, se_true, se_aat, eaoii, se_eaoii, true_sums, jam_counts = expected
+            se_true, se_aat, eaoii, se_eaoii, true_sums, jam_counts = expected
+            channel_slots = GOLDEN_HORIZON * n_total
             assert (stats.avg_true_aoii, stats.avg_aat, stats.se_true_aoii, stats.se_aat) == (
-                true, aat, se_true, se_aat)
+                sum(true_sums) / channel_slots, sum(jam_counts) / channel_slots, se_true, se_aat)
             per = stats.per_subsystem
             assert [sub.avg_true_aoii for sub in per] == [x / GOLDEN_HORIZON for x in true_sums]
             assert [sub.avg_aat for sub in per] == [x / GOLDEN_HORIZON for x in jam_counts]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,19 @@ class TestCliCommands:
         assert capsys.readouterr().err.splitlines() == [
             f"error: horizon must be at most 10000000, got {huge}"] * 3
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_lambda_grid_is_one_array(self):
+        # 10^6 Python floats in a list cost 32 B each with their pointers;
+        # the grid and its one temporary cost 16.
+        opts = {"lambda-min": 0.0, "lambda-max": 1.0, "lambda-step": 1e-6, "full": True}
+        tracemalloc.start()
+        try:
+            grid = cli_mod._lambda_grid(opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 1_000_001
+        assert peak <= 24 * len(grid)
 
     def test_sweep_lambda_checks_lambda_before_simulating(self, monkeypatch):
         def simulate(*args):
