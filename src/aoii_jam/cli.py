@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import sys
@@ -32,11 +31,12 @@ from .core import (
     SubsystemParams,
     ThresholdPolicy,
     _check_cost,
+    avg_aat_closed,
+    avg_eaoii_closed,
     avg_eaoii_no_jam,
     eaoii_ladder,
     lambda_limit,
     optimal_thresholds,
-    steady_reward,
 )
 from .sim import (
     RandomJam,
@@ -56,28 +56,40 @@ class ConfigError(ValueError):
     pass
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    return str(value)
+_BLOCK_ROWS = 8192  # rows formatted per write: a table's text is in memory a block at a time
 
 
-def _write_table(stream, config: dict, columns: list[str], rows: list[tuple], fmt: str):
+def _cells(column) -> list[str]:
+    """A column's cells as text: floats to 17 significant digits, bools as 1/0, the rest by str."""
+    column = np.asarray(column)
+    if column.dtype.kind == "f":
+        return [f"{value:.17g}" for value in column.tolist()]
+    return list(map(str, (column.astype(np.uint8) if column.dtype == bool else column).tolist()))
+
+
+def _write_table(stream, config: dict, table: dict, fmt: str):
+    """Write ``config`` and ``table``'s equal-length named columns, _BLOCK_ROWS rows at a time."""
+    names = list(table)
+    blocks = ([np.asarray(table[name][start:start + _BLOCK_ROWS]) for name in names]
+              for start in range(0, len(table[names[0]]), _BLOCK_ROWS))
     if fmt == "json":
-        payload = {
-            "config": config,
-            "rows": [dict(zip(columns, row)) for row in rows],
-        }
-        json.dump(payload, stream, indent=2, sort_keys=True, default=str)
-        stream.write("\n")
+        # The text of json.dump({"config": config, "rows": [dict per row]}, indent=2, ...);
+        # "rows" sorts after "config", so the placeholder row is the last null.
+        text = json.dumps({"config": config, "rows": [None]}, indent=2, sort_keys=True, default=str)
+        head, _, tail = text.rpartition("\n    null")
+        stream.write(head)
+        for i, block in enumerate(blocks):
+            rows = [dict(zip(names, row)) for row in zip(*(column.tolist() for column in block))]
+            # The block's list without its brackets, one level deeper.
+            body = json.dumps(rows, indent=2, sort_keys=True)[1:-2].replace("\n", "\n  ")
+            stream.write(("," if i else "") + body)
+        stream.write(tail + "\n")
         return
     for key in sorted(config):
-        stream.write(f"# {key}={_fmt(config[key])}\n")
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+        stream.write(f"# {key}={_cells([config[key]])[0]}\n")
+    stream.write(",".join(names) + "\n")
+    for block in blocks:
+        stream.write("\n".join(map(",".join, zip(*map(_cells, block)))) + "\n")
 
 
 @contextlib.contextmanager
@@ -89,9 +101,9 @@ def _output(path):
             yield handle
 
 
-def _emit(path, config, columns, rows, fmt):
+def _emit(path, config, table, fmt):
     with _output(path) as stream:
-        _write_table(stream, config, columns, rows, fmt)
+        _write_table(stream, config, table, fmt)
 
 
 # --- option parsers ----------------------------------------------------------
@@ -272,7 +284,8 @@ def _parse_policy(text: str):
     raise ConfigError(f"unknown policy kind {text!r}")
 
 
-# Largest lambda grid, before decimation: 80 MB of float64.
+# Largest lambda grid, before decimation (80 MB of float64), and largest
+# whittle-table.
 MAX_GRID_POINTS = 10_000_000
 
 
@@ -300,8 +313,16 @@ def _header(opts) -> dict:
     return header
 
 
-def _threshold_cell(policy) -> str:
-    return "INF" if not policy.is_finite else str(policy.threshold)
+def _runs(params, grid) -> tuple[list, np.ndarray, np.ndarray]:
+    """Each run's optimal policy, the run lengths and the threshold column of ``grid``."""
+    policies = optimal_thresholds(params, grid)
+    # A run is one object repeated by optimal_thresholds: found by identity, not by hashing.
+    ids = np.fromiter(map(id, policies), np.intp, len(policies))
+    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+    policies, lengths = [policies[i] for i in starts], np.diff(starts, append=len(ids))
+    cells = np.array(["INF" if not p.is_finite else str(p.threshold) for p in policies],
+                     dtype=object)
+    return policies, lengths, np.repeat(cells, lengths)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -322,34 +343,30 @@ def cmd_sweep_lambda(args, opts) -> int:
     """reward vs jamming cost sweep"""
     params, horizon, seed = opts["params"], opts["horizon"], opts["seed"]
     grid = _lambda_grid(opts)
-    policies = optimal_thresholds(params, grid)
+    policies, lengths, thresholds = _runs(params, grid)
     baseline = simulate_single(params, RandomJam(0.5), 0.0, horizon, seed)
-    runs: dict = {}
-    rows = []
-    for lam, policy in zip(grid, policies):
-        if policy not in runs:
-            runs[policy] = simulate_single(params, policy, 0.0, horizon, seed)
-        stats = runs[policy]
-        if policy.is_finite:
-            closed = steady_reward(params, policy.threshold, lam)
-        else:
-            closed = avg_eaoii_no_jam(params)
-        rows.append((lam, closed, stats.avg_eaoii - lam * stats.avg_aat,
-                     baseline.avg_eaoii - lam * baseline.avg_aat, _threshold_cell(policy)))
-    config = {"command": "sweep-lambda", **_header(opts)}
-    columns = ["lambda", "optimal_reward_closed", "optimal_reward_sim", "random_reward_sim",
-               "threshold_n"]
-    _emit(args.out, config, columns, rows, args.format)
+    runs = [simulate_single(params, policy, 0.0, horizon, seed) for policy in policies]
+    # Each point's (average EAoII, jammed fraction): closed form and simulated.
+    closed = np.repeat([(avg_eaoii_closed(params, p.threshold), avg_aat_closed(params, p.threshold))
+                        if p.is_finite else (avg_eaoii_no_jam(params), 0.0) for p in policies],
+                       lengths, axis=0)
+    sim = np.repeat([(stats.avg_eaoii, stats.avg_aat) for stats in runs], lengths, axis=0)
+    table = {
+        "lambda": grid,
+        "optimal_reward_closed": closed[:, 0] - grid * closed[:, 1],
+        "optimal_reward_sim": sim[:, 0] - grid * sim[:, 1],
+        "random_reward_sim": baseline.avg_eaoii - grid * baseline.avg_aat,
+        "threshold_n": thresholds,
+    }
+    _emit(args.out, {"command": "sweep-lambda", **_header(opts)}, table, args.format)
     return 0
 
 
 def cmd_threshold_curve(args, opts) -> int:
     """optimal threshold vs jamming cost"""
-    params = opts["params"]
-    grid = _lambda_grid(opts)
-    rows = zip(grid, map(_threshold_cell, optimal_thresholds(params, grid)))
+    params, grid = opts["params"], _lambda_grid(opts)
     config = {"command": "threshold-curve", **_header(opts), "lambda-limit": lambda_limit(params)}
-    _emit(args.out, config, ["lambda", "threshold_n"], rows, args.format)
+    _emit(args.out, config, {"lambda": grid, "threshold_n": _runs(params, grid)[2]}, args.format)
     return 0
 
 
@@ -360,14 +377,14 @@ def cmd_multi_sim(args, opts) -> int:
     fleets = [FleetConfig.from_classes(classes, n, n // 2 if m_rule == "half" else int(m_rule))
               for n in opts["n-list"]]
     _check_run(horizon, max(fleet.size for fleet in fleets))  # before any fleet is simulated
-    rows = []
-    for fleet in fleets:
-        row = [fleet.size]
-        for policy in (WhittleJam(), RandomMultiJam()):
+    table = {"N": [fleet.size for fleet in fleets], "whittle_avg_aoii": [], "whittle_stderr": [],
+             "random_avg_aoii": [], "random_stderr": []}
+    for fleet in fleets:  # fleet by fleet: one policy over every fleet first peaks 1.5 MB higher
+        for name, policy in (("whittle", WhittleJam()), ("random", RandomMultiJam())):
             runs = simulate_multi_batch(fleet, policy, horizon, seeds)
-            values = np.array([s.avg_true_aoii for s in runs])
-            row += [float(values.mean()), standard_error(values)]
-        rows.append(tuple(row))
+            values = np.array([stats.avg_true_aoii for stats in runs])
+            table[name + "_avg_aoii"].append(float(values.mean()))
+            table[name + "_stderr"].append(standard_error(values))
     config = {
         "command": "multi-sim",
         "classes": ";".join(f"{c.p},{c.q},{c.r},{frac}" for c, frac in classes),
@@ -377,28 +394,31 @@ def cmd_multi_sim(args, opts) -> int:
         "seeds": ",".join(str(s) for s in seeds),
         "normalization": "per-slot fleet totals divided by N",
     }
-    columns = ["N", "whittle_avg_aoii", "whittle_stderr", "random_avg_aoii", "random_stderr"]
-    _emit(args.out, config, columns, rows, args.format)
+    _emit(args.out, config, table, args.format)
     return 0
 
 
 def cmd_whittle_table(args, opts) -> int:
     """per-state priority index table"""
-    k_max = opts["k-max"]
+    k_max, subsystems = opts["k-max"], opts["params"]
+    ages = k_max + 1
+    if not 0 < ages <= MAX_GRID_POINTS // len(subsystems):  # at most MAX_GRID_POINTS rows
+        raise ConfigError(f"--k-max must be from 0 to {MAX_GRID_POINTS // len(subsystems) - 1} "
+                          f"for {len(subsystems)} --params, got {k_max}")
     build = whittle_table_closed if opts["method"] == "closed" else whittle_index_iterative
-    rows = []
-    for sub_id, params in enumerate(opts["params"]):
-        table = build(params, k_max)
-        ladder = eaoii_ladder(params, k_max + 1)
-        for k in range(k_max + 1):
-            rows.append((sub_id, k, float(ladder[k]), float(table[k])))
+    table = {
+        "subsystem_id": np.repeat(np.arange(len(subsystems)), ages),
+        "k": np.tile(np.arange(ages), len(subsystems)),
+        "s_k": np.concatenate([eaoii_ladder(params, ages) for params in subsystems]),
+        "W": np.concatenate([build(params, k_max) for params in subsystems]),
+    }
     config = {
         "command": "whittle-table",
-        "params": ";".join(f"{p.p},{p.q},{p.r}" for p in opts["params"]),
+        "params": ";".join(f"{p.p},{p.q},{p.r}" for p in subsystems),
         "k-max": k_max,
         "method": opts["method"],
     }
-    _emit(args.out, config, ["subsystem_id", "k", "s_k", "W"], rows, args.format)
+    _emit(args.out, config, table, args.format)
     return 0
 
 
@@ -412,22 +432,12 @@ def cmd_sim(args, opts) -> int:
     config = {"command": "sim", **_header(opts)}
     fields = ["slots", "seed", "lam", "avg_reward", "avg_eaoii", "avg_true_aoii", "avg_aat",
               "se_reward", "se_eaoii", "se_true_aoii", "se_aat"]
-    columns = ["lambda" if name == "lam" else name for name in fields]
-    _emit(args.out, config, columns, [tuple(getattr(stats, name) for name in fields)], args.format)
+    table = {"lambda" if name == "lam" else name: [getattr(stats, name)] for name in fields}
+    _emit(args.out, config, table, args.format)
     if args.trace is not None:
-        columns = ["slot", "subsystem_id", "age_index", "true_aoii", "jammed", "delivered"]
-        with open(args.trace, "w") as handle:
-            _write_table(handle, config, columns, _trace_rows(trace), "csv")
+        trace = {"slot": trace["slot"], "subsystem_id": np.broadcast_to(0, horizon), **trace}
+        _emit(args.trace, config, trace, "csv")
     return 0
-
-
-def _trace_rows(trace):
-    """Rows of the ``sim --trace`` table, converted to Python values a block at a time."""
-    size = 65_536
-    for start in range(0, len(trace["slot"]), size):
-        block = [trace[name][start:start + size].tolist()
-                 for name in ("slot", "age_index", "true_aoii", "jammed", "delivered")]
-        yield from zip(block[0], itertools.repeat(0), *block[1:])
 
 
 # --- argument parsing ------------------------------------------------------

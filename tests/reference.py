@@ -1,8 +1,17 @@
-"""Pure one-slot reference model that the simulator's fast loop is replayed against."""
+"""Reference implementations the fast code is checked against.
+
+A pure one-slot model that the simulator's fast loop is replayed against,
+and the per-cell table writer that the CLI's block writer must match byte
+for byte.
+"""
 
 from __future__ import annotations
 
+import io
+import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from aoii_jam.core import SubsystemParams, delivery_probability
 
@@ -61,3 +70,35 @@ def step_subsystem(
         last_delivery = state.last_delivery_slot
     last_agreement = now if source == estimate else state.last_agreement_slot
     return GroundTruthState(source, estimate, last_delivery, last_agreement, age)
+
+
+def fmt_cell(value) -> str:
+    """One CSV cell: floats to 17 significant digits, bools as 1/0, the rest by str."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    return str(value)
+
+
+def render_table(config: dict, table: dict, fmt: str) -> str:
+    """The text of a CLI table, built one row and one cell at a time.
+
+    Rows hold Python scalars, as the commands built them before they handed
+    the writer named columns: numpy scalars are converted with ``item``.
+    """
+    columns = list(table)
+    rows = [tuple(v.item() if isinstance(v, np.generic) else v for v in row)
+            for row in zip(*table.values())]
+    stream = io.StringIO()
+    if fmt == "json":
+        payload = {"config": config, "rows": [dict(zip(columns, row)) for row in rows]}
+        json.dump(payload, stream, indent=2, sort_keys=True, default=str)
+        stream.write("\n")
+        return stream.getvalue()
+    for key in sorted(config):
+        stream.write(f"# {key}={fmt_cell(config[key])}\n")
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join(fmt_cell(v) for v in row) + "\n")
+    return stream.getvalue()

@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,8 +10,9 @@ import aoii_jam.cli as cli_mod
 import aoii_jam.core as core_mod
 import aoii_jam.whittle as whittle_mod
 from aoii_jam.cli import main
-from aoii_jam.core import SubsystemParams, lambda_limit
+from aoii_jam.core import SubsystemParams, avg_eaoii_no_jam, lambda_limit, steady_reward
 from aoii_jam.verify import CHECKS, default_grid, run_checks
+from reference import render_table
 
 
 class TestVerifySuite:
@@ -355,3 +358,140 @@ class TestCliCommands:
         assert run_cli(*argv, "--out", str(first)) == 0
         assert run_cli(*argv, "--out", str(second)) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+# name -> (argv, rows of the longest table written, text the output holds).
+# The threshold curve (140,001 rows) and the sim trace (140,000) span 18
+# blocks; the curve and the sweep reach INF cells, and a one-slot run has
+# NaN standard errors.
+WRITER_CASES = {
+    "sweep-lambda": (("sweep-lambda", "--params", "0.9,0.9,0.1", "--lambda-max", "5",
+                      "--lambda-step", "0.05", "--horizon", "3000", "--full"), 101, "INF"),
+    "threshold-curve": (("threshold-curve", "--params", "0.9,0.9,0.1", "--lambda-max", "14",
+                         "--lambda-step", "1e-4", "--full"), 140_001, "INF"),
+    "multi-sim": (("multi-sim", "--classes", "0.2,0.2,0.4,0.5;0.8,0.8,0.2,0.5",
+                   "--n-list", "4,8", "--horizon", "1000", "--seeds", "0,1"), 2, ""),
+    "whittle-table": (("whittle-table", "--params", "0.8,0.8,0.2", "--params", "0.5,0.0,0.25",
+                       "--k-max", "30", "--method", "iterative"), 62, ""),
+    "sim-one-slot": (("sim", "--params", "0.9,0.9,0.1", "--policy", "random:0.5",
+                      "--horizon", "1"), 1, "nan"),
+    "sim-trace": (("sim", "--params", "0.9,0.9,0.1", "--policy", "threshold:2",
+                   "--lambda", "0.5", "--horizon", "140000"), 140_000, ""),
+}
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", list(WRITER_CASES))
+    def test_output_matches_the_per_cell_writer(self, tmp_path, monkeypatch, case, fmt):
+        argv, rows, text = WRITER_CASES[case]
+        written = []
+        real = cli_mod._write_table
+
+        def capture(stream, config, table, fmt):
+            written.append((config, table, fmt))
+            real(stream, config, table, fmt)
+
+        monkeypatch.setattr(cli_mod, "_write_table", capture)
+        paths = [tmp_path / "table.out", tmp_path / "trace.csv"]
+        trace = ("--trace", str(paths[1])) if argv[0] == "sim" else ()
+        assert run_cli(*argv, "--format", fmt, "--out", str(paths[0]), *trace) == 0
+        assert [table_fmt for _, _, table_fmt in written] == ([fmt, "csv"] if trace else [fmt])
+        lengths = []
+        for path, (config, table, table_fmt) in zip(paths, written):
+            assert len({len(column) for column in table.values()}) == 1
+            lengths.append(len(next(iter(table.values()))))
+            assert path.read_text() == render_table(config, table, table_fmt)
+        assert max(lengths) == rows
+        assert text.lower() in paths[0].read_text().lower()
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 100])
+    def test_any_block_size_writes_the_same_bytes(self, monkeypatch, block):
+        rows = 10
+        table = {
+            "lambda": np.array([0.0, 0.1, 1 / 3, np.nan, np.inf, 1e300, -0.0, 5e-324, 7.0, 0.25]),
+            "k": np.arange(rows),
+            "N": list(range(100, 100 + rows)),
+            "mean": [x / 7 for x in range(rows)],
+            "jammed": np.arange(rows) % 3 == 0,
+            "threshold_n": np.array(["0", "1", "1", "2", "INF"] * 2, dtype=object),
+            "subsystem_id": np.broadcast_to(0, rows),
+        }
+        config = {"command": "test", "full": True, "lambda-step": 0.1, "horizon": 10,
+                  "seeds": "0,1", "lambda-limit": np.float64(4.5)}
+        monkeypatch.setattr(cli_mod, "_BLOCK_ROWS", block)
+        for fmt in ("csv", "json"):
+            stream = io.StringIO()
+            cli_mod._write_table(stream, config, table, fmt)
+            assert stream.getvalue() == render_table(config, table, fmt)
+
+    def test_writer_memory_is_a_few_blocks(self, monkeypatch):
+        # 2 * 10^5 rows are 25 blocks. The writer holds one block's cells,
+        # rows and text at a time, so its peak is a fixed number of blocks of
+        # its own text, whatever the table's length. Measured peaks, in blocks
+        # of text: this writer 5.4 (CSV) and 12.6 (JSON); every column
+        # formatted at once 132 (CSV); json.dump of every row at once 109.
+        rows = 200_000
+        table = {"lambda": np.random.default_rng(0).random(rows)}
+
+        def text(fmt, table):
+            stream = io.StringIO()
+            cli_mod._write_table(stream, {}, table, fmt)
+            return stream.getvalue()
+
+        block = {fmt: len(text(fmt, {"lambda": table["lambda"][:cli_mod._BLOCK_ROWS]}))
+                 for fmt in ("csv", "json")}
+
+        def peak(fmt) -> float:
+            with open(os.devnull, "w") as stream:
+                tracemalloc.start()
+                try:
+                    cli_mod._write_table(stream, {"command": "test"}, table, fmt)
+                    return tracemalloc.get_traced_memory()[1] / block[fmt]
+                finally:
+                    tracemalloc.stop()
+
+        assert peak("csv") <= 20
+        assert peak("json") <= 20
+        monkeypatch.setattr(cli_mod, "_BLOCK_ROWS", rows)  # every column formatted at once
+        assert peak("csv") > 20
+
+    def test_sweep_rewards_are_the_per_point_formulas(self, tmp_path):
+        # Each closed-form reward is the old per-row value: steady_reward at
+        # the point's threshold, or the no-jam EAoII once the threshold is INF.
+        params = SubsystemParams(0.9, 0.9, 0.1)
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep-lambda", "--params", "0.9,0.9,0.1", "--lambda-max", "6",
+                       "--lambda-step", "0.01", "--horizon", "2000", "--full",
+                       "--out", str(out)) == 0
+        lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 601
+        cells = {row[4] for row in rows}
+        assert "INF" in cells and len(cells) > 10
+        for lam, closed, _, _, cell in rows:
+            expected = (avg_eaoii_no_jam(params) if cell == "INF"
+                        else steady_reward(params, int(cell), float(lam)))
+            assert float(closed) == expected
+
+    def test_whittle_table_over_the_row_cap_exits_before_building(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        def build(*args):
+            pytest.fail("built an index table past the row cap")
+
+        two = ("whittle-table", "--params", "0.8,0.8,0.2", "--params", "0.5,0.5,0.2")
+        monkeypatch.setattr(cli_mod, "whittle_table_closed", build)
+        assert run_cli("whittle-table", "--params", "0.8,0.8,0.2", "--k-max", "1000000000000") == 2
+        # Two subsystems of 5 * 10^6 + 1 ages are two rows past the 10^7 cap.
+        assert run_cli(*two, "--k-max", "5000000") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --k-max must be from 0 to 9999999 for 1 --params, got 1000000000000",
+            "error: --k-max must be from 0 to 4999999 for 2 --params, got 5000000",
+        ]
+        # A table of exactly the cap is written.
+        monkeypatch.setattr(cli_mod, "whittle_table_closed", whittle_mod.whittle_table_closed)
+        monkeypatch.setattr(cli_mod, "MAX_GRID_POINTS", 20)
+        out = tmp_path / "table.csv"
+        assert run_cli(*two, "--k-max", "9", "--out", str(out)) == 0
+        assert len([line for line in out.read_text().splitlines() if line[0].isdigit()]) == 20
+        assert run_cli(*two, "--k-max", "10") == 2
