@@ -313,13 +313,9 @@ def _header(opts) -> dict:
     return header
 
 
-def _runs(params, grid) -> tuple[list, np.ndarray, np.ndarray]:
+def _runs(params, grid) -> tuple[list, list, np.ndarray]:
     """Each run's optimal policy, the run lengths and the threshold column of ``grid``."""
-    policies = optimal_thresholds(params, grid)
-    # A run is one object repeated by optimal_thresholds: found by identity, not by hashing.
-    ids = np.fromiter(map(id, policies), np.intp, len(policies))
-    starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-    policies, lengths = [policies[i] for i in starts], np.diff(starts, append=len(ids))
+    policies, lengths = optimal_thresholds(params, grid)
     cells = np.array(["INF" if not p.is_finite else str(p.threshold) for p in policies],
                      dtype=object)
     return policies, lengths, np.repeat(cells, lengths)

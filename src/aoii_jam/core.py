@@ -124,25 +124,33 @@ def _check_cost(lam: float) -> None:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
 
 
-def _check_age(k: int) -> int:
-    if k < 0:
-        raise ValueError(f"age index must be >= 0, got {k}")
-    return int(k)
+def _natural(value, what: str):
+    """A non-negative int (numpy integers too) or integer array; anything else raises."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iu"):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{what} must be an integer or an integer array, got {value!r}")
+        value = int(value)
+    if np.any(value < 0):
+        raise ValueError(f"{what} must be >= 0, got {value}")
+    return value
 
 
-def _finite_threshold(n) -> int:
-    """Normalize a threshold argument to a finite int, rejecting INFINITE."""
+def _finite_threshold(n):
+    """Normalize a threshold argument to a finite int or int array, rejecting INFINITE."""
     if isinstance(n, ThresholdPolicy):
         n = n.threshold
     if isinstance(n, InfiniteThreshold):
         raise ValueError("finite threshold required; use the dedicated no-jam path for INFINITE")
-    if n < 0:
-        raise ValueError(f"threshold must be >= 0, got {n}")
-    return int(n)
+    return _natural(n, "threshold")
 
 
-def eaoii_value(params: SubsystemParams, k: int) -> float:
-    """EAoII after k slots without a delivery.
+def _scalar(value):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def eaoii_value(params: SubsystemParams, k):
+    """EAoII after k slots without a delivery; k an integer or an integer array.
 
     s_0 = 0, s_1 = r, and s_k increases strictly toward 1/(2r): the longer
     the monitor's estimate is stale, the closer the mismatch probability gets
@@ -150,26 +158,17 @@ def eaoii_value(params: SubsystemParams, k: int) -> float:
     and are returned exactly (the general expression would leave division
     noise scaled by 1/r).
     """
-    k = _check_age(k)
+    k = _natural(k, "age index")
     r = params.r
-    if k == 0:
-        return 0.0
-    if k == 1:
-        return r
-    return (1.0 + (1.0 - 2.0 * r) ** (k + 1) - 2.0 * (1.0 - r) ** (k + 1)) / (2.0 * r)
+    s = (1.0 + (1.0 - 2.0 * r) ** (k + 1) - 2.0 * (1.0 - r) ** (k + 1)) / (2.0 * r)
+    return _scalar(np.where(k == 0, 0.0, np.where(k == 1, r, s)))
 
 
 def eaoii_ladder(params: SubsystemParams, size: int) -> np.ndarray:
     """Vector of s_k for k = 0 .. size-1."""
     if size <= 0:
         raise ValueError("size must be positive")
-    k = np.arange(size, dtype=np.float64)
-    r = params.r
-    out = (1.0 + (1.0 - 2.0 * r) ** (k + 1) - 2.0 * (1.0 - r) ** (k + 1)) / (2.0 * r)
-    out[0] = 0.0
-    if size > 1:
-        out[1] = r
-    return out
+    return eaoii_value(params, np.arange(size))
 
 
 def delivery_probability(params: SubsystemParams, jammed: bool) -> float:
@@ -185,13 +184,13 @@ def transition_distribution(
     Returns the two-point distribution [(0, sigma), (k+1, 1-sigma)] with
     sigma the delivery probability for the given action.
     """
-    k = _check_age(k)
+    k = _natural(k, "age index")
     sigma = delivery_probability(params, jammed)
     return [(0, sigma), (k + 1, 1.0 - sigma)]
 
 
-def stationary_pmf(params: SubsystemParams, n, i: int) -> float:
-    """Stationary probability of age i under the finite threshold n.
+def stationary_pmf(params: SubsystemParams, n, i):
+    """Stationary probability of age i under the finite threshold n; i may be an array.
 
     Below the threshold the chain loses mass geometrically at rate 1-p per
     step; at and above it, at rate 1 - p(1-q). The atom at 0 is
@@ -199,16 +198,12 @@ def stationary_pmf(params: SubsystemParams, n, i: int) -> float:
     is the never-jam geometric p (1-p)^i for every n.
     """
     n = _finite_threshold(n)
-    i = _check_age(i)
+    i = _natural(i, "age index")
     p, q = params.p, params.q
     a = 1.0 - p
     b = 1.0 - p * (1.0 - q)
     u0 = p * (1.0 - q) / (1.0 - q + q * a**n)
-    if i == 0:
-        return u0
-    if i <= n:
-        return a**i * u0
-    return a**n * b ** (i - n) * u0
+    return _scalar(a ** np.minimum(i, n) * b ** np.maximum(i - n, 0) * u0)
 
 
 def _tail_transform(a: float, b: float, n, beta):
@@ -352,8 +347,7 @@ def intersection_lambda(params: SubsystemParams, m: int, n) -> float:
     Accepts a scalar or numpy array for ``n``.
     """
     m = _finite_threshold(m)
-    scalar = not isinstance(n, np.ndarray)
-    if scalar and n <= m:
+    if not isinstance(n, np.ndarray) and n <= m:
         raise ValueError(f"need n > m, got m={m}, n={n}")
     p, q, r = params.p, params.q, params.r
     a = 1.0 - p
@@ -370,7 +364,7 @@ def intersection_lambda(params: SubsystemParams, m: int, n) -> float:
     out = p * (2.0 * (1.0 - r) * g(1.0 - r) - (1.0 - 2.0 * r) * g(1.0 - 2.0 * r)) / (
         2.0 * r * one_minus_ad
     )
-    return float(out) if scalar else out
+    return _scalar(out)
 
 
 def optimal_threshold(params: SubsystemParams, lam: float) -> ThresholdPolicy:
@@ -402,14 +396,14 @@ def optimal_threshold(params: SubsystemParams, lam: float) -> ThresholdPolicy:
     return ThresholdPolicy(hi)
 
 
-def optimal_thresholds(params: SubsystemParams, lams) -> list[ThresholdPolicy]:
-    """``optimal_threshold`` of every cost in a non-decreasing grid, in one walk.
+def optimal_thresholds(params: SubsystemParams, lams) -> tuple[list[ThresholdPolicy], list[int]]:
+    """``optimal_threshold`` over a non-decreasing grid, as runs: (policies, run lengths).
 
     Threshold n is optimal on the band (lambda_seq(n-1), lambda_seq(n)], so
     the first cost of each band is mapped with ``optimal_threshold`` and every
-    later cost up to lambda_seq(n) takes the same threshold without a search;
-    costs at or above ``lambda_limit`` map to INFINITE. The search runs once
-    per threshold that occurs, not once per cost.
+    later cost up to lambda_seq(n) joins its run without a search; costs at
+    or above ``lambda_limit`` form the INFINITE run. Each policy appears once,
+    the runs are non-empty and their lengths sum to the grid size.
     """
     lams = np.asarray(lams, dtype=np.float64)
     bad = np.flatnonzero(~(np.isfinite(lams) & (lams >= 0)))
@@ -418,13 +412,15 @@ def optimal_thresholds(params: SubsystemParams, lams) -> list[ThresholdPolicy]:
     if (np.diff(lams) < 0).any():
         raise ValueError("costs must be sorted in non-decreasing order")
     limit = lambda_limit(params)
-    policies: list[ThresholdPolicy] = []
-    while len(policies) < len(lams):
-        policy = optimal_threshold(params, float(lams[len(policies)]))
+    policies, lengths, start = [], [], 0
+    while start < len(lams):
+        policy = optimal_threshold(params, float(lams[start]))
         if policy.is_finite:
             top = lambda_seq(params, policy.threshold)
             end = int(np.searchsorted(lams, top, side="right" if top < limit else "left"))
         else:
             end = len(lams)
-        policies += [policy] * (end - len(policies))
-    return policies
+        policies.append(policy)
+        lengths.append(end - start)
+        start = end
+    return policies, lengths

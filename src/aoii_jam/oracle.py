@@ -243,8 +243,7 @@ def avg_numeric(
         target = 1e-13 * (1.0 - b) * 2.0 * r
         steps = math.ceil(math.log(target) / math.log(b)) if target < 1.0 else 0
         cap = max(n + max(steps, 10), floor)
-    ages = np.arange(cap + 1)
-    u = np.array([stationary_pmf(params, n, int(k)) for k in ages])
+    u = stationary_pmf(params, n, np.arange(cap + 1))
     s = eaoii_ladder(params, cap + 1)
     avg_s = float(np.sum(s * u))
     avg_d = float(np.sum(u[n:]))

@@ -111,7 +111,7 @@ def check_stationary_vs_power_iteration(grid) -> dict:
             cap = _pmf_cap(params, n)
             cfg = oracle.OracleConfig(state_cap=cap, tolerance=1e-14)
             numeric = oracle.stationary_pmf_numeric(params, n, cfg)
-            closed = np.array([core.stationary_pmf(params, n, k) for k in range(cap + 1)])
+            closed = core.stationary_pmf(params, n, np.arange(cap + 1))
             tv = 0.5 * (np.abs(numeric - closed).sum() + _tail_mass(params, n, cap))
             _track(state, float(tv), params, n=n)
     return state
@@ -123,7 +123,7 @@ def check_stationary_normalization(grid) -> dict:
     for params in grid:
         for n in N_GRID:
             cap = _pmf_cap(params, n, target=1e-16)
-            total = sum(core.stationary_pmf(params, n, k) for k in range(cap + 1))
+            total = core.stationary_pmf(params, n, np.arange(cap + 1)).sum()
             total += _tail_mass(params, n, cap)
             _track(state, abs(total - 1.0), params, n=n)
     return state
@@ -136,7 +136,7 @@ def check_stationary_balance(grid) -> dict:
         p_jam = core.delivery_probability(params, True)
         for n in N_GRID:
             cap = _pmf_cap(params, n, target=1e-16)
-            u = np.array([core.stationary_pmf(params, n, k) for k in range(cap + 1)])
+            u = core.stationary_pmf(params, n, np.arange(cap + 1))
             sigma = np.full(cap + 1, params.p)
             sigma[n:] = p_jam
             # Inflow to age 0 comes from every age; the tail beyond the cap

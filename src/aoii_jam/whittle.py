@@ -17,10 +17,10 @@ import numpy as np
 
 from .core import (
     SubsystemParams,
-    avg_aat_closed,
     intersection_lambda,
     lambda_curve,
     lambda_seq,
+    steady_curves,
 )
 
 __all__ = [
@@ -171,18 +171,12 @@ def indexability_check(params: SubsystemParams, n_max: int) -> bool:
     i.e. makes the index well defined. It holds for every valid parameter
     triple; the one degenerate corner is p = 1, where the attack time is
     already 0 from threshold 1 on and further strictness is vacuous (ages
-    above 0 are unreachable without jamming), so zero differences are
-    accepted there.
+    above 0 are unreachable without jamming), so a zero step is accepted
+    after a zero. Read off the attack-time column of ``steady_curves``.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    prev = avg_aat_closed(params, 0)
-    for n in range(1, n_max + 1):
-        cur = avg_aat_closed(params, n)
-        if cur > prev or (cur == prev and prev > 0.0):
-            return False
-        prev = cur
-    return True
+    aat = steady_curves(params, n_max)[1]
+    step = np.diff(aat)
+    return not np.any((step > 0.0) | ((step == 0.0) & (aat[:-1] > 0.0)))
 
 
 def select_jam_set(fleet: list[SubsystemState], budget: int) -> set[int]:

@@ -40,7 +40,7 @@ params_st = st.builds(
 
 def brute_avg(params, n, cap=60000):
     """Plain truncated sums over the stationary law, no closed forms."""
-    u = np.array([stationary_pmf(params, n, k) for k in range(cap + 1)])
+    u = stationary_pmf(params, n, np.arange(cap + 1))
     s = eaoii_ladder(params, cap + 1)
     return float((s * u).sum()), float(u[n:].sum())
 
@@ -114,6 +114,33 @@ class TestEaoiiValue:
         ladder = eaoii_ladder(REF, 50)
         assert ladder == pytest.approx([eaoii_value(REF, k) for k in range(50)], abs=1e-15)
 
+    @settings(max_examples=60, deadline=None)
+    @given(params=params_st)
+    def test_array_matches_scalars(self, params):
+        # numpy's vector pow may differ from the scalar pow by 1 ULP, and the
+        # ladder's numerator 1 + (1-2r)^(k+1) - 2(1-r)^(k+1) cancels: each
+        # power's ULP is at most eps, so the two routes differ by a few eps
+        # of the numerator, divided by 2r (measured: at most 2.02 eps / 2r).
+        ages = np.arange(2000)
+        values = eaoii_value(params, ages)
+        scalars = np.array([eaoii_value(params, int(k)) for k in ages])
+        eps = np.finfo(np.float64).eps
+        assert np.abs(values - scalars).max() <= 4 * eps / (2 * params.r)
+        assert values[0] == 0.0 and values[1] == params.r
+
+    def test_scalar_is_a_float_and_arrays_keep_the_exact_ages(self):
+        assert type(eaoii_value(REF, 5)) is float
+        assert type(eaoii_value(REF, np.int64(5))) is float
+        assert eaoii_value(REF, np.int64(5)) == eaoii_value(REF, 5)
+        for r in (1e-6, 0.1, 0.37, 0.5):
+            params = SubsystemParams(0.5, 0.5, r)
+            assert eaoii_value(params, np.array([1, 0, 1])).tolist() == [r, 0.0, r]
+            assert eaoii_ladder(params, 2).tolist() == [0.0, r]
+
+    def test_negative_age_in_array_rejected(self):
+        with pytest.raises(ValueError, match="age index must be >= 0"):
+            eaoii_value(REF, np.array([3, -1, 2]))
+
 
 class TestKernel:
     def test_delivery_probability(self):
@@ -158,15 +185,33 @@ class TestStationaryPmf:
         # Without jamming power every threshold gives the geometric law p(1-p)^i.
         params = SubsystemParams(0.9, 0.0, 0.1)
         for n in (0, 3):
-            law = [stationary_pmf(params, n, i) for i in range(300)]
+            law = stationary_pmf(params, n, np.arange(300))
             assert law == pytest.approx([0.9 * 0.1**i for i in range(300)], rel=1e-12, abs=0.0)
-            assert sum(law) == pytest.approx(1.0, abs=1e-12)
+            assert law.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=params_st, n=st.integers(0, 50))
+    def test_array_matches_scalars(self, params, n):
+        # Each of the two powers may differ from the scalar route by 1 ULP
+        # (numpy's vector pow), so their product by a few (measured: 3).
+        law = stationary_pmf(params, n, np.arange(2000))
+        scalars = np.array([stationary_pmf(params, n, k) for k in range(2000)])
+        np.testing.assert_array_max_ulp(law, scalars, maxulp=4)
+
+    def test_scalar_is_a_float(self):
+        assert type(stationary_pmf(REF, 2, 3)) is float
+        assert type(stationary_pmf(REF, np.int64(2), np.int64(3))) is float
+        assert stationary_pmf(REF, np.int64(2), np.int64(3)) == stationary_pmf(REF, 2, 3)
+
+    def test_negative_age_in_array_rejected(self):
+        with pytest.raises(ValueError, match="age index must be >= 0"):
+            stationary_pmf(REF, 2, np.array([0, 1, -2]))
 
     @settings(max_examples=40, deadline=None)
     @given(params=params_st, n=st.integers(0, 10))
     def test_normalizes_with_analytic_tail(self, params, n):
         cap = n + 2500
-        partial = sum(stationary_pmf(params, n, k) for k in range(cap + 1))
+        partial = stationary_pmf(params, n, np.arange(cap + 1)).sum()
         b = 1.0 - delivery_probability(params, True)
         tail = stationary_pmf(params, n, cap) * b / (1.0 - b) if b else 0.0
         assert partial + tail == pytest.approx(1.0, abs=1e-11)
@@ -323,7 +368,12 @@ class TestOptimalThresholdsGrid:
 
     @staticmethod
     def assert_pointwise(params, lams):
-        assert optimal_thresholds(params, lams) == [
+        # Non-empty runs covering the grid, each policy once, expanding to the pointwise map.
+        policies, lengths = optimal_thresholds(params, lams)
+        assert all(length > 0 for length in lengths)
+        assert sum(lengths) == len(lams)
+        assert all(left != right for left, right in zip(policies, policies[1:]))
+        assert [policy for policy, length in zip(policies, lengths) for _ in range(length)] == [
             optimal_threshold(params, float(lam)) for lam in lams]
 
     def test_benchmark_grid(self):
@@ -349,10 +399,11 @@ class TestOptimalThresholdsGrid:
         limit = lambda_limit(REF)
         grid = [0.0, 0.0, np.nextafter(limit, 0.0), limit, limit, 2 * limit]
         self.assert_pointwise(REF, grid)
-        assert optimal_thresholds(REF, grid)[3:] == [ThresholdPolicy(INFINITE)] * 3
+        policies, lengths = optimal_thresholds(REF, grid)
+        assert (policies[-1], lengths[-1]) == (ThresholdPolicy(INFINITE), 3)
         no_power = SubsystemParams(0.9, 0.0, 0.1)  # lambda_limit is 0
         self.assert_pointwise(no_power, [0.0, 1.0])
-        assert optimal_thresholds(REF, []) == []
+        assert optimal_thresholds(REF, []) == ([], [])
 
     def test_unsorted_or_bad_costs_rejected(self):
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -360,6 +411,28 @@ class TestOptimalThresholdsGrid:
         for bad in (float("nan"), float("inf"), -0.1):
             with pytest.raises(ValueError, match="lam must be finite and >= 0"):
                 optimal_thresholds(REF, [0.0, bad])
+
+
+class TestIntegerArguments:
+    """Ages and thresholds are integers: a fraction raises instead of truncating."""
+
+    CALLS = {
+        "eaoii_value": lambda k: eaoii_value(REF, k),
+        "stationary_pmf age": lambda i: stationary_pmf(REF, 2, i),
+        "stationary_pmf threshold": lambda n: stationary_pmf(REF, n, 3),
+        "avg_eaoii_closed": lambda n: avg_eaoii_closed(REF, n),
+        "steady_reward": lambda n: steady_reward(REF, n, 0.5),
+        "lambda_seq": lambda n: lambda_seq(REF, n),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_fractions_rejected_integers_accepted(self, name):
+        call = self.CALLS[name]
+        for bad in (2.5, 1.9, 2.0, np.float64(3.0), np.array([1.0, 2.0]), "2"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call(bad)
+        assert call(np.int64(2)) == call(2)
+        assert call(np.array([2, 3])) == pytest.approx([call(2), call(3)], rel=1e-13)
 
 
 class TestSteadyReward:

@@ -130,7 +130,7 @@ class TestStationaryNumeric:
     def test_matches_closed_form(self):
         cfg = OracleConfig(state_cap=300, tolerance=1e-14)
         pmf = stationary_pmf_numeric(REF, 2, cfg)
-        closed = np.array([stationary_pmf(REF, 2, k) for k in range(301)])
+        closed = stationary_pmf(REF, 2, np.arange(301))
         assert 0.5 * np.abs(pmf - closed).sum() < 1e-8
 
     def test_above_threshold_recurrence(self):

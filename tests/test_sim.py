@@ -262,7 +262,7 @@ class TestSingleSource:
         ages = trace["age_index"]
         top = int(ages.max())
         counts = np.bincount(ages, minlength=top + 1) / len(ages)
-        closed = np.array([stationary_pmf(REF, 2, k) for k in range(top + 1)])
+        closed = stationary_pmf(REF, 2, np.arange(top + 1))
         tv = 0.5 * (np.abs(counts - closed).sum() + max(1.0 - closed.sum(), 0.0))
         assert tv < 0.02
 

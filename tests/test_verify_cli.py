@@ -301,6 +301,20 @@ class TestCliCommands:
         assert len(grid) == 1_000_001
         assert peak <= 24 * len(grid)
 
+    def test_threshold_column_is_one_array(self):
+        # The column is one object array, 8 B a point; the cost checks hold
+        # 1 B a point more. A per-point policy list beside it would cost 8 more.
+        grid = cli_mod._lambda_grid({"lambda-min": 0.0, "lambda-max": 9.99999,
+                                     "lambda-step": 1e-5, "full": True})
+        tracemalloc.start()
+        try:
+            column = cli_mod._runs(SubsystemParams(0.9, 0.9, 0.1), grid)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(column) == len(grid) == 1_000_000
+        assert peak <= 12 * len(grid)
+
     def test_sweep_lambda_checks_lambda_before_simulating(self, monkeypatch):
         def simulate(*args):
             pytest.fail("simulated before every lambda was checked")

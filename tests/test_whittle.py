@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aoii_jam.whittle as whittle_mod
-from aoii_jam.core import SubsystemParams, lambda_limit, lambda_seq
+from aoii_jam.core import SubsystemParams, avg_aat_closed, lambda_limit, lambda_seq
+from aoii_jam.verify import default_grid
 from aoii_jam.whittle import (
     FleetConfig,
     IndexStructureError,
@@ -88,8 +89,6 @@ class TestIndexability:
         # The step between consecutive attack times has the explicit form
         # -p(1-q)(1-p)^n / (D_{n+1} D_n) with D_n = 1-q+q(1-p)^n, which at
         # q = 0 collapses to -p(1-p)^n exactly.
-        from aoii_jam.core import avg_aat_closed
-
         p, q = params.p, params.q
         for n in range(0, 30, 3):
             d_n = 1 - q + q * (1 - p) ** n
@@ -104,6 +103,33 @@ class TestIndexability:
         # p = 1: attack time is 1 at threshold 0 and exactly 0 afterwards;
         # the zero steps are vacuous, not a violation.
         assert indexability_check(SubsystemParams(p=1.0, q=0.5, r=0.2), 50)
+
+    @staticmethod
+    def scalar_verdict(params, n_max):
+        """The per-threshold rule: strict decrease, a zero step only after a zero."""
+        prev = avg_aat_closed(params, 0)
+        for n in range(1, n_max + 1):
+            cur = avg_aat_closed(params, n)
+            if cur > prev or (cur == prev and prev > 0.0):
+                return False
+            prev = cur
+        return True
+
+    def test_verify_grid_matches_scalar_rule(self):
+        for params in default_grid():
+            for n_max in (0, 1, 200):
+                assert indexability_check(params, n_max) == self.scalar_verdict(params, n_max)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.floats(1e-3, 1.0), q=st.floats(0.0, 0.999), r=st.floats(1e-3, 0.5),
+           n_max=st.integers(0, 400))
+    def test_random_triples_match_scalar_rule(self, p, q, r, n_max):
+        params = SubsystemParams(p=p, q=q, r=r)
+        assert indexability_check(params, n_max) == self.scalar_verdict(params, n_max)
+
+    def test_negative_n_max_rejected(self):
+        with pytest.raises(ValueError):
+            indexability_check(REF, -1)
 
 
 class TestPairwiseTieFloor:
