@@ -110,7 +110,8 @@ class ThresholdPolicy:
     def __post_init__(self):
         if isinstance(self.threshold, InfiniteThreshold):
             return
-        if not isinstance(self.threshold, (int, np.integer)) or self.threshold < 0:
+        if (not isinstance(self.threshold, (int, np.integer)) or isinstance(self.threshold, bool)
+                or self.threshold < 0):
             raise ValueError(f"threshold must be a natural number or INFINITE, got {self.threshold!r}")
 
     @property
@@ -125,9 +126,9 @@ def _check_cost(lam: float) -> None:
 
 
 def _natural(value, what: str):
-    """A non-negative int (numpy integers too) or integer array; anything else raises."""
+    """A non-negative int (numpy integers too) or integer array; anything else, bools too, raises."""
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "iu"):
-        if not isinstance(value, (int, np.integer)):
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise ValueError(f"{what} must be an integer or an integer array, got {value!r}")
         value = int(value)
     if np.any(value < 0):
@@ -349,22 +350,28 @@ def intersection_lambda(params: SubsystemParams, m: int, n) -> float:
     m = _finite_threshold(m)
     if not isinstance(n, np.ndarray) and n <= m:
         raise ValueError(f"need n > m, got m={m}, n={n}")
+    a = 1.0 - params.p
+    d = n - m
+    powers = [((a * beta) ** d, beta**d) for beta in (1.0 - params.r, 1.0 - 2.0 * params.r)]
+    return _scalar(_pairwise_ratio(params, m, a**d, a**n, *powers))
+
+
+def _pairwise_ratio(params: SubsystemParams, m: int, ad, an, pow_r, pow_2r):
+    """``intersection_lambda`` from a^d, a^n and ((a beta)^d, beta^d) at beta = 1-r, 1-2r."""
     p, q, r = params.p, params.q, params.r
     a = 1.0 - p
     b = 1.0 - p * (1.0 - q)
-    d = n - m
-    one_minus_ad = 1.0 - a**d
+    one_minus_ad = 1.0 - ad
 
-    def g(beta):
+    def g(beta, cd, bd):
         c = a * beta
         e = b * beta
-        block = (1.0 - q) * (1.0 - c**d) + q * a**n * (1.0 - beta**d)
+        block = (1.0 - q) * (1.0 - cd) + q * an * (1.0 - bd)
         return q * one_minus_ad / (1.0 - c) - p * q * beta ** (m + 1) * block / ((1.0 - c) * (1.0 - e))
 
-    out = p * (2.0 * (1.0 - r) * g(1.0 - r) - (1.0 - 2.0 * r) * g(1.0 - 2.0 * r)) / (
+    return p * (2.0 * (1.0 - r) * g(1.0 - r, *pow_r) - (1.0 - 2.0 * r) * g(1.0 - 2.0 * r, *pow_2r)) / (
         2.0 * r * one_minus_ad
     )
-    return _scalar(out)
 
 
 def optimal_threshold(params: SubsystemParams, lam: float) -> ThresholdPolicy:

@@ -261,23 +261,27 @@ def avg_numeric(
 
 
 def brute_force_threshold(
-    params: SubsystemParams, lam: float, n_max: int
-) -> ThresholdPolicy:
+    params: SubsystemParams, lam: float | np.ndarray, n_max: int
+) -> ThresholdPolicy | list[ThresholdPolicy]:
     """Optimal threshold by exhaustive search of the steady-reward curve.
 
     Declares INFINITE when the cost reaches lambda_limit; otherwise the
     argmax over 0..n_max. An argmax sitting exactly at n_max means the scan
     window was too small to contain the maximizer, which is an error rather
-    than an answer.
+    than an answer. A float cost gives one policy; a 1-D cost array gives a
+    list of policies, one per cost, all read off one reward curve.
     """
-    _check_cost(lam)
-    if lam >= lambda_limit(params):
-        return ThresholdPolicy(INFINITE)
+    lams = np.asarray(lam, dtype=np.float64).reshape(-1)
+    for cost in lams:
+        _check_cost(float(cost))
+    limit = lambda_limit(params)
     sbar, dbar = steady_curves(params, n_max)
-    best = int(np.argmax(sbar - lam * dbar))
-    if best == n_max:
+    best = np.argmax(sbar - lams[:, None] * dbar, axis=1)
+    edge = lams[(best == n_max) & (lams < limit)]
+    if edge.size:
         raise ValueError(
-            f"argmax at the scan edge n_max={n_max}; enlarge n_max (lam={lam} is "
-            f"below lambda_limit={lambda_limit(params):.6g})"
+            f"argmax at the scan edge n_max={n_max}; enlarge n_max (lam={float(edge[0])} is "
+            f"below lambda_limit={limit:.6g})"
         )
-    return ThresholdPolicy(best)
+    policies = [ThresholdPolicy(int(n) if cost < limit else INFINITE) for cost, n in zip(lams, best)]
+    return policies if np.ndim(lam) else policies[0]

@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import (
     SubsystemParams,
-    intersection_lambda,
+    _natural,
+    _pairwise_ratio,
     lambda_curve,
     lambda_seq,
     steady_curves,
@@ -59,8 +60,7 @@ class SubsystemState:
     age: int
 
     def __post_init__(self):
-        if self.age < 0:
-            raise ValueError(f"age must be >= 0, got {self.age}")
+        _natural(self.age, "age index")
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,8 @@ def whittle_index_iterative(params: SubsystemParams, n_max: int) -> np.ndarray:
     age; a scan finding a strictly smaller ratio further out contradicts
     that structure and raises rather than being silently accepted. Ages
     whose ratios tie all the way to the scan edge (q = 0, or increments
-    below float resolution) share the current infimum.
+    below float resolution) share the current infimum. Each power the ratios
+    need is tabulated once over exponents 1..bound; every step reads slices.
 
     Retained as a verification oracle for ``whittle_table_closed``; the
     closed form is what production callers use.
@@ -132,11 +133,16 @@ def whittle_index_iterative(params: SubsystemParams, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     bound = n_max + SCAN_MARGIN
+    exponents = np.arange(1, bound + 1, dtype=np.float64)
+    a = 1.0 - params.p
+    powers = a**exponents
+    pairs = [((a * beta) ** exponents, beta**exponents) for beta in (1.0 - params.r, 1.0 - 2.0 * params.r)]
     table = np.empty(n_max + 1)
     boundary = 0
     while boundary <= n_max:
-        candidates = np.arange(boundary + 1, bound + 1, dtype=np.float64)
-        ratios = intersection_lambda(params, boundary, candidates)
+        size = bound - boundary
+        ratios = _pairwise_ratio(params, boundary, powers[:size], powers[boundary:],
+                                 *[(cd[:size], bd[:size]) for cd, bd in pairs])
         low = float(ratios.min())
         tol = _TIE_RTOL * max(1.0, abs(low))
         if low < ratios[0] - tol:

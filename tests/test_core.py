@@ -79,6 +79,11 @@ class TestThresholdPolicy:
         with pytest.raises(ValueError):
             ThresholdPolicy(-1)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_bools_rejected(self, flag):
+        with pytest.raises(ValueError, match="natural number or INFINITE"):
+            ThresholdPolicy(flag)
+
 
 class TestEaoiiValue:
     def test_age_zero_is_zero(self):
@@ -433,6 +438,13 @@ class TestIntegerArguments:
                 call(bad)
         assert call(np.int64(2)) == call(2)
         assert call(np.array([2, 3])) == pytest.approx([call(2), call(3)], rel=1e-13)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_bools_rejected(self, name):
+        # A bool is not an age or a threshold, as a Python or a numpy scalar.
+        for flag in (True, False, np.True_, np.False_):
+            with pytest.raises(ValueError, match="must be an integer"):
+                self.CALLS[name](flag)
 
 
 class TestSteadyReward:

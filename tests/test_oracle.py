@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aoii_jam.core import (
     INFINITE,
@@ -12,6 +16,7 @@ from aoii_jam.core import (
     lambda_seq,
     optimal_threshold,
     stationary_pmf,
+    steady_curves,
     steady_reward,
 )
 from aoii_jam.oracle import (
@@ -181,3 +186,60 @@ class TestBruteForce:
         lam = 0.5 * (lambda_seq(REF, 5) + lambda_seq(REF, 6))
         with pytest.raises(ValueError, match="n_max"):
             brute_force_threshold(REF, lam, 4)
+
+
+def brute_reference(params, lam, n_max):
+    """One cost, one curve: INFINITE at or above the limit, else the argmax, or the edge message."""
+    if lam >= lambda_limit(params):
+        return ThresholdPolicy(INFINITE)
+    sbar, dbar = steady_curves(params, n_max)
+    best = int(np.argmax(sbar - lam * dbar))
+    return "edge" if best == n_max else ThresholdPolicy(best)
+
+
+class TestBruteForceArray:
+    """A cost array gives, from one curve, the policy of each cost's own call."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        params=st.builds(SubsystemParams, p=st.floats(0.05, 0.99), q=st.floats(0.0, 0.95),
+                         r=st.floats(0.02, 0.5)),
+        picks=st.lists(st.one_of(
+            st.tuples(st.integers(0, 8), st.sampled_from([-1.0, 0.0, 1.0])),
+            st.sampled_from([0.0, 1.0, 1.5]) | st.floats(0.0, 1.5),
+        ), min_size=1, max_size=12),
+        n_max=st.integers(1, 40),
+    )
+    def test_array_equals_scalar_calls(self, params, picks, n_max):
+        # Costs on a tie level or 1e-9 either side of it, and fractions of
+        # the limit from 0 to 1.5, the limit itself included.
+        limit = lambda_limit(params)
+        lams = []
+        for pick in picks:
+            if isinstance(pick, tuple):
+                tie = lambda_seq(params, pick[0])
+                lams.append(max(tie + pick[1] * 1e-9 * max(1.0, tie), 0.0))
+            else:
+                lams.append(pick * limit)
+        expected = [brute_reference(params, lam, n_max) for lam in lams]
+        if "edge" in expected:
+            first = re.escape(f"lam={lams[expected.index('edge')]} is below")
+            with pytest.raises(ValueError, match=f"n_max={n_max}; .*{first}"):
+                brute_force_threshold(params, np.array(lams), n_max)
+            with pytest.raises(ValueError, match=first):
+                brute_force_threshold(params, lams[expected.index("edge")], n_max)
+            return
+        assert brute_force_threshold(params, np.array(lams), n_max) == expected
+        assert [brute_force_threshold(params, lam, n_max) for lam in lams] == expected
+
+    def test_float_gives_a_policy_and_array_a_list(self):
+        lam = 0.5 * (lambda_seq(REF, 0) + lambda_seq(REF, 1))
+        assert brute_force_threshold(REF, lam, 500) == ThresholdPolicy(1)
+        assert brute_force_threshold(REF, np.array([lam]), 500) == [ThresholdPolicy(1)]
+        assert brute_force_threshold(REF, np.array([0.0, lam, 5.0]), 500) == [
+            ThresholdPolicy(0), ThresholdPolicy(1), ThresholdPolicy(INFINITE)]
+
+    def test_every_cost_is_checked(self):
+        for bad in (float("nan"), -0.1, float("inf")):
+            with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+                brute_force_threshold(REF, np.array([0.0, bad]), 500)

@@ -8,6 +8,7 @@ import pytest
 
 import aoii_jam.cli as cli_mod
 import aoii_jam.core as core_mod
+import aoii_jam.oracle as oracle_mod
 import aoii_jam.whittle as whittle_mod
 from aoii_jam.cli import main
 from aoii_jam.core import SubsystemParams, avg_eaoii_no_jam, lambda_limit, steady_reward
@@ -58,6 +59,33 @@ class TestVerifySuite:
         assert not report["passed"]
         witness = report["checks"][0]["witness"]
         assert {"p", "q", "r", "n"} <= set(witness)
+
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_brute_check_builds_one_curve_per_triple(self, monkeypatch):
+        curves = self.counted(monkeypatch, oracle_mod, "steady_curves")
+        brutes = self.counted(monkeypatch, oracle_mod, "brute_force_threshold")
+        report = run_checks(names=["optimal_threshold_vs_brute"])
+        assert report["passed"]
+        # 60 triples with p < 1, each with all its probe costs in one call.
+        assert len(curves) == len(brutes) == 60
+
+    def test_power_iteration_solves_each_p_q_n_once(self, monkeypatch):
+        solves = self.counted(monkeypatch, oracle_mod, "stationary_pmf_numeric")
+        report = run_checks(names=["stationary_vs_power_iteration"])
+        assert report["passed"]
+        keys = [(params.p, params.q, n) for params, n, _ in solves]
+        assert len(keys) == len(set(keys)) == 24 * 5
 
     def test_every_check_passes_on_the_default_grid(self):
         report = run_checks()

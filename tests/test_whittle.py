@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aoii_jam.whittle as whittle_mod
-from aoii_jam.core import SubsystemParams, avg_aat_closed, lambda_limit, lambda_seq
+from aoii_jam.core import (
+    SubsystemParams,
+    avg_aat_closed,
+    intersection_lambda,
+    lambda_limit,
+    lambda_seq,
+)
 from aoii_jam.verify import default_grid
 from aoii_jam.whittle import (
     FleetConfig,
@@ -61,20 +67,54 @@ class TestIterativeIndex:
     def test_structure_violation_surfaces(self, monkeypatch):
         # Corrupt the pairwise ratio so a far state undercuts the boundary
         # successor; the construction must refuse rather than pick silently.
-        real = whittle_mod.intersection_lambda
+        real = whittle_mod._pairwise_ratio
 
-        def corrupted(params, m, n):
-            values = np.asarray(real(params, m, n), dtype=float)
-            values = values - 0.5 * (np.asarray(n) - m > 20)
-            return values if isinstance(n, np.ndarray) else float(values)
+        def corrupted(params, m, ad, an, pow_r, pow_2r):
+            d = np.arange(1, len(ad) + 1)
+            return real(params, m, ad, an, pow_r, pow_2r) - 0.5 * (d > 20)
 
-        monkeypatch.setattr(whittle_mod, "intersection_lambda", corrupted)
+        monkeypatch.setattr(whittle_mod, "_pairwise_ratio", corrupted)
         with pytest.raises(IndexStructureError):
             whittle_index_iterative(REF, 30)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             whittle_index_iterative(REF, -1)
+
+
+def iterative_by_intersection(params, n_max):
+    """The infimum scan with one ``intersection_lambda`` call per boundary (no power tables)."""
+    bound = n_max + whittle_mod.SCAN_MARGIN
+    table = np.empty(n_max + 1)
+    boundary = 0
+    while boundary <= n_max:
+        ratios = intersection_lambda(params, boundary,
+                                     np.arange(boundary + 1, bound + 1, dtype=np.float64))
+        low = float(ratios.min())
+        tol = whittle_mod._TIE_RTOL * max(1.0, abs(low))
+        assert low >= ratios[0] - tol
+        largest = boundary + 1 + int(np.nonzero(ratios <= low + tol)[0].max())
+        if largest >= bound:
+            table[boundary:] = ratios[0]
+            return table
+        table[boundary : min(largest, n_max + 1)] = ratios[0]
+        boundary = largest
+    return table
+
+
+class TestIterativePowerTables:
+    """The scan over tabulated powers gives the very floats of the per-boundary route."""
+
+    @pytest.mark.parametrize("params", [p for p in default_grid() if p.p != 1.0],
+                             ids=lambda p: f"{p.p},{p.q},{p.r}")
+    def test_verify_triples_bit_equal(self, params):
+        assert np.array_equal(whittle_index_iterative(params, 60),
+                              iterative_by_intersection(params, 60))
+
+    @pytest.mark.parametrize("params", [REF, CLASS_SLOW, SubsystemParams(0.5, 0.6, 0.3)])
+    def test_long_tables_bit_equal(self, params):
+        assert np.array_equal(whittle_index_iterative(params, 500),
+                              iterative_by_intersection(params, 500))
 
 
 class TestIndexability:
@@ -142,6 +182,18 @@ class TestPairwiseTieFloor:
                 ns = np.arange(k + 1, k + 201, dtype=np.float64)
                 ratios = intersection_lambda(params, k, ns)
                 assert np.all(ratios >= base - 1e-12 * max(1.0, base))
+
+
+class TestSubsystemState:
+    @pytest.mark.parametrize("age", [2.5, True, np.True_, -1, "3"])
+    def test_bad_ages_rejected_at_construction(self, age):
+        with pytest.raises(ValueError, match="age index"):
+            SubsystemState(0, REF, age)
+
+    def test_integer_ages_accepted(self):
+        assert SubsystemState(0, REF, np.int64(3)).age == 3
+        assert select_jam_set([SubsystemState(0, REF, np.int64(3)), SubsystemState(1, REF, 2)],
+                              1) == {0}
 
 
 class TestSelectJamSet:
