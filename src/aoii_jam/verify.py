@@ -3,20 +3,26 @@
 Every closed form in ``core`` and ``whittle`` is paired here with an
 independent numeric route (power iteration, truncated sums, exhaustive
 search, value iteration, or a second construction of the same object) and a
-tolerance. ``run_checks`` executes the suite over a parameter grid and
-returns a machine-readable report; the CLI ``verify`` command is a thin
-wrapper over it. Each check returns its worst error and witness; the
-registry ``CHECKS`` at the bottom names it and gives its tolerance.
+tolerance. Each ``check_*`` yields an ``(error, witness)`` pair per case, and
+``math.inf`` for a broken property. ``CHECKS`` at the bottom names each check,
+gives its tolerance and wraps it in the one reducer, ``_worst``: it keeps the
+first largest error and its witness, and a NaN error ends its check as the
+worst. So a broken property reports ``Infinity`` and a NaN fails. ``run_checks``
+runs a non-empty selection over a parameter grid and returns a JSON-ready
+report; the CLI ``verify`` wraps it and exits 2 on an empty selection. The
+iterative index is checked at 60 ages; ``whittle-table`` caps it at 10,000.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
 from . import core, oracle, whittle
-from .oracle import _tail_mass
+from .oracle import _tail_mass, _threshold_kernel_sigma
 
 # Grid knobs kept module-level so the acceptance suite and the CLI agree.
 RVI_PARAMS = [(0.9, 0.9, 0.1), (0.5, 0.6, 0.3)]
@@ -35,64 +41,62 @@ def default_grid() -> list[core.SubsystemParams]:
 
 
 def _witness(params, **extra):
-    out = {"p": params.p, "q": params.q, "r": params.r}
-    out.update(extra)
-    return out
+    return {"p": params.p, "q": params.q, "r": params.r, **extra}
 
 
-def _track(state, err, params, **extra):
-    if err > state["worst"]:
-        state["worst"] = err
-        state["witness"] = _witness(params, **extra)
+def _worst(check):
+    """``check`` reduced to ``(worst error, its witness)``; the earliest case wins a tie.
+
+    A NaN compares false with everything, so it ends the check as its worst error.
+    """
+
+    @functools.wraps(check)
+    def reduced(grid) -> tuple[float, dict]:
+        worst, witness = 0.0, {}
+        for err, case in check(grid):
+            if math.isnan(err):
+                return err, case
+            if err > worst:
+                worst, witness = err, case
+        return worst, witness
+
+    return reduced
 
 
-def _fresh():
-    """A check's running state: worst error, its witness, and an optional failure flag."""
-    return {"worst": 0.0, "witness": {}}
-
-
-def check_eaoii_identities(grid) -> dict:
+def check_eaoii_identities(grid) -> Iterator[tuple[float, dict]]:
     """s_0 is identically 0 and s_1 is identically r."""
-    state = _fresh()
     rng = np.random.default_rng(2024)
     for r in rng.uniform(1e-6, 0.5, size=100):
         params = core.SubsystemParams(p=0.5, q=0.5, r=float(r))
-        _track(state, abs(core.eaoii_value(params, 0)), params, k=0)
-        _track(state, abs(core.eaoii_value(params, 1) - r), params, k=1)
-    return state
+        yield abs(core.eaoii_value(params, 0)), _witness(params, k=0)
+        yield abs(core.eaoii_value(params, 1) - r), _witness(params, k=1)
 
 
-def check_eaoii_monotone_bounded(grid) -> dict:
+def check_eaoii_monotone_bounded(grid) -> Iterator[tuple[float, dict]]:
     """Strict increase with the exact step size, below the 1/(2r) ceiling."""
-    state = _fresh()
     for params in grid:
         r = params.r
         ladder = core.eaoii_ladder(params, 301)
         ceil = 1.0 / (2.0 * r)
         ks = np.arange(300, dtype=np.float64)
         exact_step = (1.0 - r) ** (ks + 1) - (1.0 - 2.0 * r) ** (ks + 1)
-        _track(state, float(np.max(np.abs(np.diff(ladder) - exact_step))), params)
+        yield float(np.max(np.abs(np.diff(ladder) - exact_step))), _witness(params)
         # The strict ceiling saturates in float64 once (1-r)^(k+1)/r drops
         # below resolution; require strictness only where the gap resolves.
         resolvable = (1.0 - r) ** (np.arange(301) + 1.0) / r > 1e-12
         if ladder.min() < 0 or ladder.max() > ceil or np.any(ladder[resolvable] >= ceil):
-            state["failed"] = True
-            state["witness"] = _witness(params)
-    return state
+            yield math.inf, _witness(params)
 
 
-def check_kernel_stochastic(grid) -> dict:
+def check_kernel_stochastic(grid) -> Iterator[tuple[float, dict]]:
     """The two-point age kernel is an exact probability distribution."""
-    state = _fresh()
     for params in grid:
         for k in (0, 1, 5):
             for jammed in (False, True):
                 dist = core.transition_distribution(params, k, jammed)
                 total = sum(prob for _, prob in dist)
-                _track(state, abs(total - 1.0), params, k=k, jammed=jammed)
-                if any(prob < 0 for _, prob in dist) or len(dist) != 2:
-                    state["failed"] = True
-    return state
+                broken = any(prob < 0 for _, prob in dist) or len(dist) != 2
+                yield math.inf if broken else abs(total - 1.0), _witness(params, k=k, jammed=jammed)
 
 
 def _pmf_cap(params, n, target=1e-10) -> int:
@@ -103,9 +107,8 @@ def _pmf_cap(params, n, target=1e-10) -> int:
     return n + max(steps, 20)
 
 
-def check_stationary_vs_power_iteration(grid) -> dict:
+def check_stationary_vs_power_iteration(grid) -> Iterator[tuple[float, dict]]:
     """Closed-form age law vs the power-iteration fixed point (TV distance)."""
-    state = _fresh()
     solved = {}  # the numeric law and its cap read p, q and n only: one solve serves every r
     for params in grid:
         for n in N_GRID:
@@ -116,40 +119,33 @@ def check_stationary_vs_power_iteration(grid) -> dict:
                 solved[key] = oracle.stationary_pmf_numeric(params, n, cfg)
             closed = core.stationary_pmf(params, n, np.arange(cap + 1))
             tv = 0.5 * (np.abs(solved[key] - closed).sum() + _tail_mass(params, n, cap))
-            _track(state, float(tv), params, n=n)
-    return state
+            yield float(tv), _witness(params, n=n)
 
 
-def check_stationary_normalization(grid) -> dict:
+def check_stationary_normalization(grid) -> Iterator[tuple[float, dict]]:
     """Closed-form age law sums to one, geometric tail included."""
-    state = _fresh()
     for params in grid:
         for n in N_GRID:
             cap = _pmf_cap(params, n, target=1e-16)
             total = core.stationary_pmf(params, n, np.arange(cap + 1)).sum()
             total += _tail_mass(params, n, cap)
-            _track(state, abs(total - 1.0), params, n=n)
-    return state
+            yield abs(total - 1.0), _witness(params, n=n)
 
 
-def check_stationary_balance(grid) -> dict:
+def check_stationary_balance(grid) -> Iterator[tuple[float, dict]]:
     """The closed-form law satisfies the full balance equation pointwise."""
-    state = _fresh()
     for params in grid:
-        p_jam = core.delivery_probability(params, True)
         for n in N_GRID:
             cap = _pmf_cap(params, n, target=1e-16)
             u = core.stationary_pmf(params, n, np.arange(cap + 1))
-            sigma = np.full(cap + 1, params.p)
-            sigma[n:] = p_jam
+            sigma = _threshold_kernel_sigma(params, n, cap)
             # Inflow to age 0 comes from every age; the tail beyond the cap
-            # delivers at the jammed rate.
-            inflow0 = float(sigma @ u) + p_jam * _tail_mass(params, n, cap)
-            _track(state, abs(u[0] - inflow0), params, n=n, k=0)
+            # delivers at the jammed rate, sigma's last entry.
+            inflow0 = float(sigma @ u) + sigma[-1] * _tail_mass(params, n, cap)
+            yield abs(u[0] - inflow0), _witness(params, n=n, k=0)
             upto = min(40, cap)
             resid = np.abs(u[1 : upto + 1] - (1.0 - sigma[:upto]) * u[:upto])
-            _track(state, float(resid.max()), params, n=n, k=int(resid.argmax()) + 1)
-    return state
+            yield float(resid.max()), _witness(params, n=n, k=int(resid.argmax()) + 1)
 
 
 # Relative errors are floored at this scale: the pinned chain at p = 1 makes
@@ -158,30 +154,23 @@ def check_stationary_balance(grid) -> dict:
 _REL_FLOOR = 1e-6
 
 
-def check_avg_eaoii_closed(grid) -> dict:
+def check_avg_eaoii_closed(grid) -> Iterator[tuple[float, dict]]:
     """Closed-form average EAoII vs the truncated-sum-plus-tail oracle."""
-    state = _fresh()
     for params in grid:
         for n in N_GRID:
             num_s, _ = oracle.avg_numeric(params, n)
             closed = core.avg_eaoii_closed(params, n)
-            err = abs(closed - num_s) / max(abs(num_s), _REL_FLOOR)
-            _track(state, err, params, n=n)
-    return state
+            yield abs(closed - num_s) / max(abs(num_s), _REL_FLOOR), _witness(params, n=n)
 
 
-def check_avg_aat_closed(grid) -> dict:
+def check_avg_aat_closed(grid) -> Iterator[tuple[float, dict]]:
     """Closed-form average attack time vs the truncated-sum oracle."""
-    state = _fresh()
     for params in grid:
         for n in N_GRID:
             _, num_d = oracle.avg_numeric(params, n)
             closed = core.avg_aat_closed(params, n)
             err = abs(closed - num_d) / max(abs(num_d), _REL_FLOOR)
-            _track(state, err, params, n=n)
-            if not 0.0 <= closed <= 1.0:
-                state["failed"] = True
-    return state
+            yield err if 0.0 <= closed <= 1.0 else math.inf, _witness(params, n=n)
 
 
 def _usable_ratio(params, n) -> bool:
@@ -190,9 +179,8 @@ def _usable_ratio(params, n) -> bool:
     return params.q > 0.0 and abs(gap) >= 1e-6
 
 
-def check_lambda_seq_vs_ratio(grid) -> dict:
+def check_lambda_seq_vs_ratio(grid) -> Iterator[tuple[float, dict]]:
     """Tie-subsidy closed form vs the finite-difference ratio of averages."""
-    state = _fresh()
     for params in grid:
         for n in (0, 1, 2, 5, 10, 20):
             if not _usable_ratio(params, n):
@@ -201,37 +189,30 @@ def check_lambda_seq_vs_ratio(grid) -> dict:
             dd = core.avg_aat_closed(params, n + 1) - core.avg_aat_closed(params, n)
             ratio = ds / dd
             closed = core.lambda_seq(params, n)
-            err = abs(closed - ratio) / max(abs(ratio), 1e-12)
-            _track(state, err, params, n=n)
-    return state
+            yield abs(closed - ratio) / max(abs(ratio), 1e-12), _witness(params, n=n)
 
 
-def check_lambda_monotone_below_limit(grid) -> dict:
+def check_lambda_monotone_below_limit(grid) -> Iterator[tuple[float, dict]]:
     """The tie sequence never decreases and never exceeds its limit."""
-    state = _fresh()
     for params in grid:
         seq = core.lambda_curve(params, 200)
         limit = core.lambda_limit(params)
-        _track(state, max(float(np.max(seq - limit)), 0.0), params)
+        yield max(float(np.max(seq - limit)), 0.0), _witness(params)
         diffs = np.diff(seq)
-        _track(state, max(float(-diffs.min()), 0.0), params)
+        yield max(float(-diffs.min()), 0.0), _witness(params)
         if params.q > 0.0:
             # Strict increase is checked where the increments are resolvable
             # in float64; exact-arithmetic strictness lives in the tests.
             resolvable = (limit - seq[:-1]) > 1e-12 * max(limit, 1.0)
             if np.any(diffs[resolvable] <= 0.0):
-                state["failed"] = True
-                state["witness"] = _witness(params)
-    return state
+                yield math.inf, _witness(params)
 
 
-def check_lambda_limit_is_sup(grid) -> dict:
+def check_lambda_limit_is_sup(grid) -> Iterator[tuple[float, dict]]:
     """The limit matches the supremum of the sequence out to n = 10^4."""
-    state = _fresh()
     for params in grid:
         sup = float(core.lambda_curve(params, 10_000).max())
-        _track(state, abs(core.lambda_limit(params) - sup), params)
-    return state
+        yield abs(core.lambda_limit(params) - sup), _witness(params)
 
 
 def _lambda_probe_points(params):
@@ -259,14 +240,13 @@ def _lambda_probe_points(params):
     return probes
 
 
-def check_optimal_threshold_vs_brute(grid) -> dict:
+def check_optimal_threshold_vs_brute(grid) -> Iterator[tuple[float, dict]]:
     """Regime map vs exhaustive argmax of the steady reward curve.
 
     p = 1 is excluded: there every threshold >= 1 has zero attack time and
     identical reward, so the argmax is a tie and index-exact agreement is
     vacuous.
     """
-    state = _fresh()
     for params in grid:
         if params.p == 1.0:
             continue
@@ -274,28 +254,22 @@ def check_optimal_threshold_vs_brute(grid) -> dict:
         brutes = oracle.brute_force_threshold(params, np.array(lams), n_max=4000)
         for lam, brute in zip(lams, brutes):
             if core.optimal_threshold(params, lam) != brute:
-                state["failed"] = True
-                state["worst"] = max(state["worst"], 1.0)
-                state["witness"] = _witness(params, lam=lam)
-    return state
+                yield math.inf, _witness(params, lam=lam)
 
 
-def check_steady_reward_tie(grid) -> dict:
+def check_steady_reward_tie(grid) -> Iterator[tuple[float, dict]]:
     """At the tie subsidy, consecutive thresholds earn equal reward."""
-    state = _fresh()
     for params in grid:
         for n in N_GRID:
             lam = core.lambda_seq(params, n)
             gap = abs(
                 core.steady_reward(params, n, lam) - core.steady_reward(params, n + 1, lam)
             )
-            _track(state, gap, params, n=n, lam=lam)
-    return state
+            yield gap, _witness(params, n=n, lam=lam)
 
 
-def check_exchange_sign_flip(grid) -> dict:
+def check_exchange_sign_flip(grid) -> Iterator[tuple[float, dict]]:
     """reward(n) - reward(n+1) changes sign exactly at the tie subsidy."""
-    state = _fresh()
     for params in grid:
         if params.q == 0.0:
             continue
@@ -311,65 +285,51 @@ def check_exchange_sign_flip(grid) -> dict:
                 params, n + 1, tie + eps
             )
             if below < 0.0 or above >= 0.0:
-                state["failed"] = True
-                state["worst"] = max(state["worst"], 1.0)
-                state["witness"] = _witness(params, n=n, lam=tie)
-    return state
+                yield math.inf, _witness(params, n=n, lam=tie)
 
 
-def check_whittle_closed_equals_lambda(grid) -> dict:
+def check_whittle_closed_equals_lambda(grid) -> Iterator[tuple[float, dict]]:
     """The priority index is the tie subsidy, state for state."""
-    state = _fresh()
     for params in grid:
         for n in N_GRID:
             gap = abs(whittle.whittle_index_closed(params, n) - core.lambda_seq(params, n))
-            _track(state, gap, params, n=n)
-    return state
+            yield gap, _witness(params, n=n)
 
 
-def check_whittle_iterative_vs_closed(grid) -> dict:
+def check_whittle_iterative_vs_closed(grid) -> Iterator[tuple[float, dict]]:
     """Iterative infimum construction reproduces the closed-form table.
 
     p = 1 is excluded: there the ratios driving the construction are 0/0
     limits that no longer depend on the scan state, so the two routes only
     agree on the reachable age 0 (the others are vacuous by unreachability).
     """
-    state = _fresh()
     for params in grid:
         if params.p == 1.0:
             continue
         closed = whittle.whittle_table_closed(params, 60)
         iterative = whittle.whittle_index_iterative(params, 60)
         scale = np.maximum(np.abs(closed), 1e-12)
-        err = float(np.max(np.abs(closed - iterative) / scale))
-        _track(state, err, params)
-    return state
+        yield float(np.max(np.abs(closed - iterative) / scale)), _witness(params)
 
 
-def check_whittle_monotone_bounded(grid) -> dict:
+def check_whittle_monotone_bounded(grid) -> Iterator[tuple[float, dict]]:
     """Index tables never decrease and stay at or below the limit."""
-    state = _fresh()
     for params in grid:
         table = whittle.whittle_table_closed(params, 200)
         limit = core.lambda_limit(params)
-        _track(state, max(float(np.max(table - limit)), 0.0), params)
-        _track(state, max(float(-np.min(np.diff(table))), 0.0), params)
-    return state
+        yield max(float(np.max(table - limit)), 0.0), _witness(params)
+        yield max(float(-np.min(np.diff(table))), 0.0), _witness(params)
 
 
-def check_indexability(grid) -> dict:
+def check_indexability(grid) -> Iterator[tuple[float, dict]]:
     """Average attack time decreases in the threshold for every triple."""
-    state = _fresh()
     for params in grid:
         if not whittle.indexability_check(params, 200):
-            state["failed"] = True
-            state["witness"] = _witness(params)
-    return state
+            yield math.inf, _witness(params)
 
 
-def check_pairwise_tie_floor(grid) -> dict:
+def check_pairwise_tie_floor(grid) -> Iterator[tuple[float, dict]]:
     """Pairwise tie subsidies never undercut the consecutive one."""
-    state = _fresh()
     for params in grid:
         if params.q == 0.0:
             continue
@@ -377,14 +337,11 @@ def check_pairwise_tie_floor(grid) -> dict:
             base = core.lambda_seq(params, k)
             ns = np.arange(k + 1, k + 61, dtype=np.float64)
             ratios = core.intersection_lambda(params, k, ns)
-            undercut = max(float(np.max(base - ratios)), 0.0)
-            _track(state, undercut, params, n=k)
-    return state
+            yield max(float(np.max(base - ratios)), 0.0), _witness(params, n=k)
 
 
-def check_intersection_vs_naive(grid) -> dict:
+def check_intersection_vs_naive(grid) -> Iterator[tuple[float, dict]]:
     """Cancelled pairwise ratio vs the raw closed-form difference quotient."""
-    state = _fresh()
     for params in grid:
         if params.q == 0.0:
             continue
@@ -395,14 +352,11 @@ def check_intersection_vs_naive(grid) -> dict:
             ds = core.avg_eaoii_closed(params, n) - core.avg_eaoii_closed(params, m)
             naive = ds / dd
             stable = core.intersection_lambda(params, m, n)
-            err = abs(stable - naive) / max(abs(naive), 1e-12)
-            _track(state, err, params, m=m, n=n)
-    return state
+            yield abs(stable - naive) / max(abs(naive), 1e-12), _witness(params, m=m, n=n)
 
 
-def check_rvi_consistency(grid) -> dict:
+def check_rvi_consistency(grid) -> Iterator[tuple[float, dict]]:
     """Value iteration reproduces the threshold map and its average reward."""
-    state = _fresh()
     for p, q, r in RVI_PARAMS:
         params = core.SubsystemParams(p=p, q=q, r=r)
         limit = core.lambda_limit(params)
@@ -418,24 +372,21 @@ def check_rvi_consistency(grid) -> dict:
             result = oracle.relative_value_iteration(params, lam, cfg)
             extracted = oracle.extract_threshold(result)
             if extracted != expected:
-                state["failed"] = True
-                state["witness"] = _witness(params, lam=lam)
+                yield math.inf, _witness(params, lam=lam)
                 continue
             if expected.is_finite:
                 target = core.steady_reward(params, expected.threshold, lam)
             else:
                 target = core.avg_eaoii_no_jam(params)
-            _track(state, abs(result.theta - target), params, lam=lam)
-    return state
+            yield abs(result.theta - target), _witness(params, lam=lam)
 
 
-def check_select_jam_set(grid) -> dict:
+def check_select_jam_set(grid) -> Iterator[tuple[float, dict]]:
     """The fleet simulator's selection, per-kind ranks plus the channel, equals ``select_jam_set``.
 
     Channels draw (params, age) from small pools, so equal index values,
     and with them the lower-id tie-break, occur in most fleets.
     """
-    state = _fresh()
     rng = np.random.default_rng(7)
     pool = [params for params in grid if params.q > 0.0]
     for _ in range(40):
@@ -454,37 +405,35 @@ def check_select_jam_set(grid) -> dict:
                 for i, (params, age) in enumerate(zip(channel_params, lane))
             ]
             if whittle.select_jam_set(fleet, budget) != set(np.flatnonzero(mask).tolist()):
-                state["failed"] = True
-                state["witness"] = {"fleet_size": size, "budget": budget, "ages": lane.tolist()}
-    return state
+                yield math.inf, {"fleet_size": size, "budget": budget, "ages": lane.tolist()}
 
 
-# name -> (function, tolerance). This is the coverage inventory: the report
-# always contains exactly these checks, in this order, and takes each check's
-# name and tolerance from here.
+# name -> (reduced check, tolerance). This is the coverage inventory: the
+# report always contains exactly these checks, in this order, and takes each
+# check's name and tolerance from here.
 CHECKS = {
-    "eaoii_identities": (check_eaoii_identities, 1e-14),
-    "eaoii_monotone_bounded": (check_eaoii_monotone_bounded, 1e-12),
-    "kernel_stochastic": (check_kernel_stochastic, 0.0),
-    "stationary_vs_power_iteration": (check_stationary_vs_power_iteration, 1e-8),
-    "stationary_normalization": (check_stationary_normalization, 1e-12),
-    "stationary_balance": (check_stationary_balance, 1e-10),
-    "avg_eaoii_closed_vs_numeric": (check_avg_eaoii_closed, 1e-8),
-    "avg_aat_closed_vs_numeric": (check_avg_aat_closed, 1e-8),
-    "lambda_seq_vs_ratio": (check_lambda_seq_vs_ratio, 1e-8),
-    "lambda_monotone_below_limit": (check_lambda_monotone_below_limit, 0.0),
-    "lambda_limit_is_sup": (check_lambda_limit_is_sup, 1e-6),
-    "optimal_threshold_vs_brute": (check_optimal_threshold_vs_brute, 0.0),
-    "steady_reward_tie": (check_steady_reward_tie, 1e-10),
-    "exchange_sign_flip": (check_exchange_sign_flip, 0.0),
-    "whittle_closed_equals_lambda": (check_whittle_closed_equals_lambda, 0.0),
-    "whittle_iterative_vs_closed": (check_whittle_iterative_vs_closed, 1e-8),
-    "whittle_monotone_bounded": (check_whittle_monotone_bounded, 0.0),
-    "indexability": (check_indexability, 0.0),
-    "pairwise_tie_floor": (check_pairwise_tie_floor, 1e-12),
-    "intersection_vs_naive_ratio": (check_intersection_vs_naive, 1e-8),
-    "rvi_consistency": (check_rvi_consistency, 1e-6),
-    "select_jam_set_vs_sort": (check_select_jam_set, 0.0),
+    "eaoii_identities": (_worst(check_eaoii_identities), 1e-14),
+    "eaoii_monotone_bounded": (_worst(check_eaoii_monotone_bounded), 1e-12),
+    "kernel_stochastic": (_worst(check_kernel_stochastic), 0.0),
+    "stationary_vs_power_iteration": (_worst(check_stationary_vs_power_iteration), 1e-8),
+    "stationary_normalization": (_worst(check_stationary_normalization), 1e-12),
+    "stationary_balance": (_worst(check_stationary_balance), 1e-10),
+    "avg_eaoii_closed_vs_numeric": (_worst(check_avg_eaoii_closed), 1e-8),
+    "avg_aat_closed_vs_numeric": (_worst(check_avg_aat_closed), 1e-8),
+    "lambda_seq_vs_ratio": (_worst(check_lambda_seq_vs_ratio), 1e-8),
+    "lambda_monotone_below_limit": (_worst(check_lambda_monotone_below_limit), 0.0),
+    "lambda_limit_is_sup": (_worst(check_lambda_limit_is_sup), 1e-6),
+    "optimal_threshold_vs_brute": (_worst(check_optimal_threshold_vs_brute), 0.0),
+    "steady_reward_tie": (_worst(check_steady_reward_tie), 1e-10),
+    "exchange_sign_flip": (_worst(check_exchange_sign_flip), 0.0),
+    "whittle_closed_equals_lambda": (_worst(check_whittle_closed_equals_lambda), 0.0),
+    "whittle_iterative_vs_closed": (_worst(check_whittle_iterative_vs_closed), 1e-8),
+    "whittle_monotone_bounded": (_worst(check_whittle_monotone_bounded), 0.0),
+    "indexability": (_worst(check_indexability), 0.0),
+    "pairwise_tie_floor": (_worst(check_pairwise_tie_floor), 1e-12),
+    "intersection_vs_naive_ratio": (_worst(check_intersection_vs_naive), 1e-8),
+    "rvi_consistency": (_worst(check_rvi_consistency), 1e-6),
+    "select_jam_set_vs_sort": (_worst(check_select_jam_set), 0.0),
 }
 
 
@@ -492,19 +441,21 @@ def run_checks(grid=None, names=None) -> dict:
     """Run the (selected) suite and return the JSON-ready report."""
     grid = default_grid() if grid is None else grid
     selected = list(CHECKS) if names is None else list(names)
+    if not selected:
+        raise ValueError("no checks selected")
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
     results = []
     for name in selected:
         func, tolerance = CHECKS[name]
-        state = func(grid)
+        worst, witness = func(grid)
         results.append({
             "name": name,
             "tolerance": tolerance,
-            "worst_error": state["worst"],
-            "passed": state["worst"] <= tolerance and not state.get("failed", False),
-            "witness": state["witness"],
+            "worst_error": worst,
+            "passed": bool(worst <= tolerance),  # False for NaN; a numpy bool is not JSON
+            "witness": witness,
             "detail": "",  # kept for the report schema; no check sets it
         })
     return {

@@ -1,5 +1,7 @@
+import inspect
 import io
 import json
+import math
 import os
 import tracemalloc
 
@@ -12,6 +14,7 @@ import aoii_jam.oracle as oracle_mod
 import aoii_jam.whittle as whittle_mod
 from aoii_jam.cli import main
 from aoii_jam.core import SubsystemParams, avg_eaoii_no_jam, lambda_limit, steady_reward
+import aoii_jam.verify as verify_mod
 from aoii_jam.verify import CHECKS, default_grid, run_checks
 from reference import render_table
 
@@ -22,7 +25,7 @@ class TestVerifySuite:
         # and tolerance; a check only reports its worst error and witness.
         for name, (_, tol) in list(CHECKS.items()):
             worst = tol / 2 if name != "indexability" else tol + 1.0
-            state = {"worst": worst, "witness": {"check": name}}
+            state = (worst, {"check": name})
             monkeypatch.setitem(CHECKS, name, (lambda grid, state=state: state, tol))
         report = run_checks(grid=[])
         assert len(CHECKS) == 22
@@ -51,6 +54,35 @@ class TestVerifySuite:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
             run_checks(names=["no_such_check"])
+
+    def test_empty_selection_rejected(self, capsys):
+        with pytest.raises(ValueError, match="no checks selected"):
+            run_checks(names=[])
+        assert run_cli("verify", "--checks", ",") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: no checks selected"]
+
+    def test_every_check_is_a_generator_behind_the_one_reducer(self):
+        checks = {name: func for name, func in vars(verify_mod).items()
+                  if name.startswith("check_") and inspect.isfunction(func)}
+        assert len(checks) == len(CHECKS)
+        assert all(inspect.isgeneratorfunction(func) for func in checks.values())
+        registered = [func.__wrapped__ for func, _ in CHECKS.values()]
+        assert sorted(func.__name__ for func in registered) == sorted(checks)
+        assert all(checks[func.__name__] is func for func in registered)
+
+    def test_nan_error_fails_its_check(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core_mod, "avg_eaoii_closed", lambda p, n: math.nan)
+        report = run_checks(names=["avg_eaoii_closed_vs_numeric"])
+        check = report["checks"][0]
+        assert not check["passed"] and not report["passed"]
+        assert math.isnan(check["worst_error"])
+        assert {"p", "q", "r", "n"} <= set(check["witness"])
+        out = tmp_path / "report.json"
+        assert run_cli("verify", "--checks", "avg_eaoii_closed_vs_numeric", "--out", str(out)) == 1
+        written = json.loads(out.read_text())["checks"][0]
+        assert not written["passed"] and math.isnan(written["worst_error"])
 
     def test_corrupted_formula_fails_with_witness(self, monkeypatch):
         real = core_mod.avg_eaoii_closed
@@ -106,6 +138,33 @@ class TestVerifySuite:
         check = run_checks(names=["select_jam_set_vs_sort"])["checks"][0]
         assert not check["passed"]
         assert {"fleet_size", "budget", "ages"} == set(check["witness"])
+
+    def test_broken_property_reports_infinity_and_the_first_witness(self, monkeypatch):
+        real_mask, real_select = whittle_mod.jam_mask, whittle_mod.select_jam_set
+        masks, cases = [], []
+
+        def tie_to_higher(keys, budget):
+            n = keys.shape[-1]
+            out = real_mask(keys // n * n + (n - 1 - keys % n), budget)
+            masks.extend(out)
+            return out
+
+        def recorded(fleet, budget):
+            chosen = real_select(fleet, budget)
+            expected = set(np.flatnonzero(masks[len(cases)]).tolist())
+            cases.append(({"fleet_size": len(fleet), "budget": budget,
+                           "ages": [channel.age for channel in fleet]}, chosen != expected))
+            return chosen
+
+        monkeypatch.setattr(whittle_mod, "jam_mask", tie_to_higher)
+        monkeypatch.setattr(whittle_mod, "select_jam_set", recorded)
+        report = run_checks(names=["select_jam_set_vs_sort"])
+        check = report["checks"][0]
+        failing = [witness for witness, failed in cases if failed]
+        assert len(failing) > 1 and failing[0] != failing[-1]
+        assert check["worst_error"] == math.inf
+        assert not check["passed"] and not report["passed"]
+        assert check["witness"] == failing[0]
 
 
 def run_cli(*argv):
@@ -537,3 +596,28 @@ class TestTableWriter:
         assert run_cli(*two, "--k-max", "9", "--out", str(out)) == 0
         assert len([line for line in out.read_text().splitlines() if line[0].isdigit()]) == 20
         assert run_cli(*two, "--k-max", "10") == 2
+
+    def test_whittle_table_iterative_k_max_limit(self, tmp_path, monkeypatch, capsys):
+        def build(*args):
+            pytest.fail("built an iterative index table past its limit")
+
+        iterative = ("whittle-table", "--params", "0.8,0.8,0.2", "--method", "iterative")
+        monkeypatch.setattr(cli_mod, "whittle_index_iterative", build)
+        assert run_cli(*iterative, "--k-max", "10001") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --k-max must be at most 10000 for --method iterative, got 10001"
+        ]
+        # The closed method keeps the row cap alone.
+        out = tmp_path / "table.csv"
+        assert run_cli("whittle-table", "--params", "0.8,0.8,0.2", "--k-max", "10001",
+                       "--out", str(out)) == 0
+        # A table at the limit is built and written; one age more is refused.
+        monkeypatch.setattr(cli_mod, "whittle_index_iterative",
+                            whittle_mod.whittle_index_iterative)
+        monkeypatch.setattr(cli_mod, "_ITERATIVE_K_MAX", 30)
+        assert run_cli(*iterative, "--k-max", "30", "--out", str(out)) == 0
+        assert len([line for line in out.read_text().splitlines() if line[0].isdigit()]) == 31
+        assert run_cli(*iterative, "--k-max", "31") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --k-max must be at most 30 for --method iterative, got 31"
+        ]
