@@ -289,6 +289,7 @@ def _parse_policy(text: str):
 MAX_GRID_POINTS = 10_000_000
 # Largest --k-max of whittle-table --method iterative: its infimum scan is
 # quadratic in the ages (about 1 s at this limit for slow-mixing params).
+# One more than it bounds the rows of all of a command's --params together.
 _ITERATIVE_K_MAX = 10_000
 
 
@@ -407,6 +408,10 @@ def cmd_whittle_table(args, opts) -> int:
     if opts["method"] == "iterative" and k_max > _ITERATIVE_K_MAX:
         raise ConfigError(f"--k-max must be at most {_ITERATIVE_K_MAX} for --method iterative, "
                           f"got {k_max}")
+    if opts["method"] == "iterative" and len(subsystems) * ages > _ITERATIVE_K_MAX + 1:
+        raise ConfigError(f"--method iterative builds at most {_ITERATIVE_K_MAX + 1} rows in all, "
+                          f"got {len(subsystems) * ages} ({len(subsystems)} --params at "
+                          f"--k-max {k_max})")
     build = whittle_table_closed if opts["method"] == "closed" else whittle_index_iterative
     table = {
         "subsystem_id": np.repeat(np.arange(len(subsystems)), ages),

@@ -137,7 +137,9 @@ def _add_chunk(totals, start, slots, eaoii, aoii, jammed) -> None:
     ``totals`` holds their sums per channel and per batch of a ``slots``-slot
     run (float64: the integer sums are exact below 2**53). One ``reduceat``
     per array cuts the chunk at the batch boundaries; each piece adds to its
-    channels and, unless it lies past the last batch, to its batch.
+    channels and, unless it lies past the last batch, to its batch. The bool
+    jams are counted in int32, exact as a piece holds at most ``MAX_HORIZON``
+    slots, so numpy copies them at 4 bytes a slot rather than its default 8.
     """
     channel_sums, batch_sums = totals
     batches, length = _batch_layout(slots)
@@ -146,7 +148,7 @@ def _add_chunk(totals, start, slots, eaoii, aoii, jammed) -> None:
     batch = (start + cuts) // length
     inside = batch < batches
     for k, values in enumerate((eaoii, aoii, jammed)):
-        pieces = np.add.reduceat(values, cuts, axis=0)
+        pieces = np.add.reduceat(values, cuts, axis=0, dtype=np.int32 if k == 2 else None)
         channel_sums[k] += pieces.sum(axis=0)
         batch_sums[k, batch[inside]] += pieces[inside].sum(axis=1)
 
@@ -165,9 +167,11 @@ def _threshold_deliveries(u: np.ndarray, p: float, p_jam: float, n: int, last: i
     every slot is.
     """
     candidates = np.flatnonzero(u < p)
-    index = np.arange(1, len(candidates) + 1)  # ``last`` is index 0
-    run_start = np.maximum.accumulate(np.where(np.diff(candidates, prepend=last) > n, index, 0))
-    last_sure = np.maximum.accumulate(np.where(u[candidates] < p_jam, index, 0))
+    index = np.arange(1, len(candidates) + 1, dtype=np.int32)  # ``last`` is index 0
+    run_start = index * (np.diff(candidates, prepend=last) > n)
+    last_sure = index * (u[candidates] < p_jam)
+    for marks in (run_start, last_sure):
+        np.maximum.accumulate(marks, out=marks)
     delivered = np.zeros(len(u), dtype=bool)
     delivered[candidates] = last_sure >= run_start
     return delivered
@@ -180,16 +184,24 @@ def _resolve(delivered, flips, start, carry, age, aoii):
     carry: the last delivery before the chunk, the source bit and the last
     agreement slot. A delivery is coded 2 * slot + the source bit it delivers,
     so one running maximum gives the last delivery slot (``code >> 1``) and the
-    estimate (``code & 1``). Writes the age and true AoII at decision time into
+    estimate (``code & 1``); a slot without one is coded -2, the smallest
+    carry. An agreement is coded slot + 1 and a disagreement 0. Each running
+    maximum starts from its carry, folded into the first row, and runs in
+    place, all in int32: ``MAX_HORIZON`` keeps every code at most
+    2 * MAX_HORIZON + 3. Writes the age and true AoII at decision time into
     ``age`` and ``aoii``; returns the next chunk's carry.
     """
     last, x, last_agree = carry
-    slots = np.arange(start, start + len(delivered))[:, None]
+    slots = np.arange(start, start + len(delivered), dtype=np.int32)[:, None]
     source = np.logical_xor.accumulate(flips, axis=0) ^ x
-    code = np.maximum.accumulate(np.where(delivered, 2 * slots + source, last), axis=0)
+    code = (2 * slots + 2 + source) * delivered - 2
+    np.maximum(code[0], last, out=code[0])
+    np.maximum.accumulate(code, axis=0, out=code)
     age[0] = start - 1 - (last >> 1)
     np.subtract(slots[:-1], code[:-1] >> 1, out=age[1:])
-    agreement = np.maximum.accumulate(np.where(source == (code & 1), slots + 1, last_agree), axis=0)
+    agreement = (slots + 1) * (source == (code & 1))
+    np.maximum(agreement[0], last_agree, out=agreement[0])
+    np.maximum.accumulate(agreement, axis=0, out=agreement)
     aoii[0] = start - last_agree
     np.subtract(slots[1:], agreement[:-1], out=aoii[1:])
     return code[-1].copy(), source[-1].copy(), agreement[-1].copy()
@@ -197,7 +209,8 @@ def _resolve(delivered, flips, start, carry, age, aoii):
 
 def _start_carry(channels: int) -> tuple[np.ndarray, ...]:
     """The ``_resolve`` carry of a run's start: slot -1 counts as a delivery, in agreement."""
-    return np.full(channels, -2), np.zeros(channels, dtype=bool), np.zeros(channels, dtype=int)
+    return (np.full(channels, -2, dtype=np.int32), np.zeros(channels, dtype=bool),
+            np.zeros(channels, dtype=np.int32))
 
 
 def single_trace(
@@ -355,26 +368,31 @@ def simulate_multi_batch(
                     rng.random(out=row)
                 np.less(u, prob, out=out[:, s].T)
             np.less(u, p_vec, out=maybe[:, s].T)
+        # A slot delivers maybe ^ (jammed & toggle): np.where(jammed, sure, maybe)
+        # in bool ops, which run 5x faster on bools.
+        toggle = maybe ^ sure
         if looped:
             lookup = base + start_ages
             for j in range(chunk):
                 masks[j] = jam_mask(flat_keys[lookup] + col, budget)
-                lookup = np.where(np.where(masks[j], sure[j], maybe[j]), base, lookup + 1)
+                lookup += 1
+                np.copyto(lookup, base, where=maybe[j] ^ (masks[j] & toggle[j]))
         elif budget:
             # The lowest uniform of each slot wins, ties to the lower channel;
             # random() returns multiples of 2**-53, so the keys are exact.
             for s, rng in enumerate(pol_rngs):
                 masks[:, s] = jam_mask(
                     (rng.random((chunk, n_sub)) * 2.0**53).astype(np.int64) * n_sub + col, budget)
-        bad = masks.sum(axis=2) != budget
+        # Jams per slot and seed in uint16, exact up to MAX_FLEET channels and
+        # faster than numpy's int64 default.
+        bad = masks.sum(axis=2, dtype=np.uint16) != budget
         if bad.any():
             lane, slot = np.argwhere(bad.T)[0]
             raise RuntimeError(
                 f"slot {start + slot}: jammed {masks[slot, lane].sum()} channels, budget {budget}")
+        age, aoii = np.empty((2, chunk, n_sub), dtype=np.int32)
         for s in range(lanes):
-            # np.where(jammed, sure, maybe), in bool ops that run 5x faster on bools
-            delivered = maybe[:, s] ^ (masks[:, s] & (maybe[:, s] ^ sure[:, s]))
-            age, aoii = np.empty((2, chunk, n_sub), dtype=np.int64)
+            delivered = maybe[:, s] ^ (masks[:, s] & toggle[:, s])
             carries[s] = _resolve(delivered, flips[:, s], start, carries[s], age, aoii)
             _add_chunk(totals[s], start, horizon, ladders[of_class, age], aoii, masks[:, s])
 

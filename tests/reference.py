@@ -1,8 +1,9 @@
 """Reference implementations the fast code is checked against.
 
 A pure one-slot model that the simulator's fast loop is replayed against,
-and the per-cell table writer that the CLI's block writer must match byte
-for byte.
+the ``np.where`` forms of the simulator's two chunk kernels on int64, and
+the per-cell table writer that the CLI's block writer must match byte for
+byte.
 """
 
 from __future__ import annotations
@@ -70,6 +71,31 @@ def step_subsystem(
         last_delivery = state.last_delivery_slot
     last_agreement = now if source == estimate else state.last_agreement_slot
     return GroundTruthState(source, estimate, last_delivery, last_agreement, age)
+
+
+def threshold_deliveries_where(u, p, p_jam, n, last):
+    """``sim._threshold_deliveries`` with int64 run indices picked by ``np.where``."""
+    candidates = np.flatnonzero(u < p)
+    index = np.arange(1, len(candidates) + 1)
+    run_start = np.maximum.accumulate(np.where(np.diff(candidates, prepend=last) > n, index, 0))
+    last_sure = np.maximum.accumulate(np.where(u[candidates] < p_jam, index, 0))
+    delivered = np.zeros(len(u), dtype=bool)
+    delivered[candidates] = last_sure >= run_start
+    return delivered
+
+
+def resolve_where(delivered, flips, start, carry, age, aoii):
+    """``sim._resolve`` on int64, each running maximum seeded by ``np.where`` with the carry."""
+    last, x, last_agree = carry
+    slots = np.arange(start, start + len(delivered))[:, None]
+    source = np.logical_xor.accumulate(flips, axis=0) ^ x
+    code = np.maximum.accumulate(np.where(delivered, 2 * slots + source, last), axis=0)
+    age[0] = start - 1 - (last >> 1)
+    np.subtract(slots[:-1], code[:-1] >> 1, out=age[1:])
+    agreement = np.maximum.accumulate(np.where(source == (code & 1), slots + 1, last_agree), axis=0)
+    aoii[0] = start - last_agree
+    np.subtract(slots[1:], agreement[:-1], out=aoii[1:])
+    return code[-1].copy(), source[-1].copy(), agreement[-1].copy()
 
 
 def fmt_cell(value) -> str:

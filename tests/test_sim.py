@@ -27,7 +27,13 @@ from aoii_jam.sim import (
     summarize_trace,
 )
 from aoii_jam.whittle import FleetConfig, SubsystemState, select_jam_set
-from reference import GroundTruthState, initial_state, step_subsystem
+from reference import (
+    GroundTruthState,
+    initial_state,
+    resolve_where,
+    step_subsystem,
+    threshold_deliveries_where,
+)
 
 REF = SubsystemParams(p=0.9, q=0.9, r=0.1)
 Q_MAX = float(np.nextafter(1.0, 0.0))  # q = 1 itself is not a valid parameter
@@ -251,6 +257,22 @@ class TestSingleSource:
             tracemalloc.stop()
         assert peak <= 16 * horizon + 500_000
 
+    def test_summary_counts_jams_in_four_bytes_a_slot(self):
+        # A trace a tenth of the horizon cap: the EAoII read off the ladder
+        # takes 8 bytes a slot and the int32 copy that counts the jams 4 more.
+        # Counting in numpy's default int64 made it 16.
+        horizon = sim_mod.MAX_HORIZON // 10
+        age = np.arange(horizon, dtype=np.int64) % 50
+        trace = {"age_index": age, "true_aoii": age.copy(), "jammed": age == 0}
+        tracemalloc.start()
+        try:
+            stats = summarize_trace(REF, trace, 1.0, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.avg_aat == 1 / 50
+        assert 11 * horizon <= peak <= 13 * horizon
+
     def test_ergodic_means_near_closed_forms(self):
         stats = simulate_single(REF, ThresholdPolicy(2), 0.0, 200_000, seed=11)
         assert abs(stats.avg_eaoii - avg_eaoii_closed(REF, 2)) < 4 * stats.se_eaoii
@@ -305,6 +327,67 @@ class TestBatchStandardError:
         assert stats.se_eaoii == 0.0
 
 
+class TestChunkKernels:
+    """The int32 kernels against their int64 ``np.where`` forms in ``reference``."""
+
+    def test_codes_fit_int32(self):
+        # _resolve codes a delivery 2 * slot + 2 + bit and counts the budget in
+        # uint16: both caps must keep those inside their types.
+        assert 2 * sim_mod.MAX_HORIZON + 3 <= np.iinfo(np.int32).max
+        assert sim_mod.MAX_FLEET <= np.iinfo(np.uint16).max
+
+    probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 64), min_size=2, max_size=4),
+        channels=st.integers(1, 6),
+        p_deliver=probability,
+        p_flip=probability,
+        start=st.one_of(st.just(0), st.integers(0, 10**6)),
+        width=st.sampled_from([np.int32, np.int64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lengths=[64, 1, 64], channels=3, p_deliver=0.3, p_flip=0.5,
+             start=sim_mod.MAX_HORIZON - 4096, width=np.int32, seed=5)
+    @example(lengths=[64, 64], channels=2, p_deliver=0.0, p_flip=1.0,
+             start=sim_mod.MAX_HORIZON - 4096, width=np.int32, seed=6)
+    def test_resolve_matches_where_form(self, lengths, channels, p_deliver, p_flip, start,
+                                        width, seed):
+        # Both kernels thread their own carries from a run's start through
+        # the chunks and must agree on every age, true AoII and carry.
+        rng = np.random.default_rng(seed)
+        carry = expected_carry = sim_mod._start_carry(channels)
+        for length in lengths:
+            delivered = rng.random((length, channels)) < p_deliver
+            flips = rng.random((length, channels)) < p_flip
+            age, aoii = np.empty((2, length, channels), dtype=width)
+            expected_age, expected_aoii = np.empty((2, length, channels), dtype=np.int64)
+            carry = sim_mod._resolve(delivered, flips, start, carry, age, aoii)
+            expected_carry = resolve_where(delivered, flips, start, expected_carry,
+                                           expected_age, expected_aoii)
+            assert np.array_equal(age, expected_age)
+            assert np.array_equal(aoii, expected_aoii)
+            for value, expected in zip(carry, expected_carry):
+                assert np.array_equal(value, expected)
+            start += length
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        length=st.integers(1, 200),
+        p=probability,
+        jam_factor=probability,
+        n=st.integers(0, 70),
+        last=st.integers(-100, -1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_threshold_deliveries_match_where_form(self, length, p, jam_factor, n, last, seed):
+        u = np.random.default_rng(seed).random(length)
+        p_jam = p * jam_factor
+        assert np.array_equal(sim_mod._threshold_deliveries(u, p, p_jam, n, last),
+                              threshold_deliveries_where(u, p, p_jam, n, last))
+
+
 class TestMultiSource:
     def test_budget_enforced_exactly(self):
         stats = simulate_multi_batch(TWO_CLASS, WhittleJam(), 4_000, [3])[0]
@@ -339,6 +422,14 @@ class TestMultiSource:
         monkeypatch.setattr(sim_mod, "jam_mask", select)
         with pytest.raises(RuntimeError, match="^slot 5: jammed 1 channels, budget 2$"):
             simulate_multi_batch(TWO_CLASS, policy, 10, [0, 1, 2])
+
+    def test_budget_counted_past_a_byte(self, monkeypatch):
+        # 300 jams in a 300-channel fleet with budget 44 would read 44 if the
+        # check counted in uint8.
+        fleet = FleetConfig((REF,) * 300, 44)
+        monkeypatch.setattr(sim_mod, "jam_mask", lambda keys, budget: keys >= 0)
+        with pytest.raises(RuntimeError, match="^slot 0: jammed 300 channels, budget 44$"):
+            simulate_multi_batch(fleet, RandomMultiJam(), 10, [0])
 
     def test_single_policy_rejected(self):
         with pytest.raises(ValueError):

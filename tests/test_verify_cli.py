@@ -621,3 +621,27 @@ class TestTableWriter:
         assert capsys.readouterr().err.splitlines() == [
             "error: --k-max must be at most 30 for --method iterative, got 31"
         ]
+
+    def test_whittle_table_iterative_row_limit(self, tmp_path, monkeypatch, capsys):
+        # The iterative limit bounds the rows of all --params together, not
+        # one table: two tables of 15 ages fit in 31 rows, two of 16 do not.
+        built = []
+
+        def build(params, k_max):
+            built.append(k_max)
+            return whittle_mod.whittle_index_iterative(params, k_max)
+
+        monkeypatch.setattr(cli_mod, "whittle_index_iterative", build)
+        monkeypatch.setattr(cli_mod, "_ITERATIVE_K_MAX", 30)
+        two = ("whittle-table", "--params", "0.8,0.8,0.2", "--params", "0.2,0.3,0.4",
+               "--method", "iterative")
+        out = tmp_path / "table.csv"
+        assert run_cli(*two, "--k-max", "14", "--out", str(out)) == 0
+        assert len([line for line in out.read_text().splitlines() if line[0].isdigit()]) == 30
+        assert built == [14, 14]
+        assert run_cli(*two, "--k-max", "15") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --method iterative builds at most 31 rows in all, "
+            "got 32 (2 --params at --k-max 15)"
+        ]
+        assert built == [14, 14]
