@@ -67,9 +67,22 @@ def _cells(column) -> list[str]:
     return list(map(str, (column.astype(np.uint8) if column.dtype == bool else column).tolist()))
 
 
+def _json_cells(column) -> list[str]:
+    """A column's cells as ``json.dumps`` writes them; ints and finite floats without calling it."""
+    values = column.tolist()
+    if column.dtype.kind in "iu":
+        return list(map(str, values))
+    if column.dtype.kind != "f":
+        return list(map(json.dumps, values))
+    cells = list(map(float.__repr__, values))
+    for i in np.flatnonzero(~np.isfinite(column)).tolist():
+        cells[i] = json.dumps(values[i])  # NaN, Infinity, -Infinity
+    return cells
+
+
 def _write_table(stream, config: dict, table: dict, fmt: str):
     """Write ``config`` and ``table``'s equal-length named columns, _BLOCK_ROWS rows at a time."""
-    names = list(table)
+    names = sorted(table) if fmt == "json" else list(table)  # json sorts the keys of a row
     blocks = ([np.asarray(table[name][start:start + _BLOCK_ROWS]) for name in names]
               for start in range(0, len(table[names[0]]), _BLOCK_ROWS))
     if fmt == "json":
@@ -78,11 +91,12 @@ def _write_table(stream, config: dict, table: dict, fmt: str):
         text = json.dumps({"config": config, "rows": [None]}, indent=2, sort_keys=True, default=str)
         head, _, tail = text.rpartition("\n    null")
         stream.write(head)
+        # One row's text, a %s for each cell.
+        keys = [json.dumps(name).replace("%", "%%") for name in names]
+        row = "\n    {" + ",".join(f"\n      {key}: %s" for key in keys) + "\n    }"
         for i, block in enumerate(blocks):
-            rows = [dict(zip(names, row)) for row in zip(*(column.tolist() for column in block))]
-            # The block's list without its brackets, one level deeper.
-            body = json.dumps(rows, indent=2, sort_keys=True)[1:-2].replace("\n", "\n  ")
-            stream.write(("," if i else "") + body)
+            rows = zip(*map(_json_cells, block))
+            stream.write(("," if i else "") + ",".join(row % cells for cells in rows))
         stream.write(tail + "\n")
         return
     for key in sorted(config):

@@ -42,10 +42,8 @@ __all__ = [
     "avg_eaoii_closed",
     "avg_aat_closed",
     "avg_eaoii_no_jam",
-    "steady_curves",
     "steady_reward",
     "lambda_seq",
-    "lambda_curve",
     "lambda_limit",
     "intersection_lambda",
     "optimal_threshold",
@@ -236,16 +234,16 @@ def _steady_averages(params: SubsystemParams, n):
     return (1.0 + u0 * body) / (2.0 * r), an / (1.0 - q + q * an)
 
 
-def avg_eaoii_closed(params: SubsystemParams, n) -> float:
-    """Long-run average EAoII under the finite threshold n.
+def avg_eaoii_closed(params: SubsystemParams, n):
+    """Long-run average EAoII under the finite threshold n; n an integer or an integer array.
 
     Validated against the truncated-sum oracle in the test suite.
     """
     return _steady_averages(params, _finite_threshold(n))[0]
 
 
-def avg_aat_closed(params: SubsystemParams, n) -> float:
-    """Long-run fraction of jammed slots under the finite threshold n.
+def avg_aat_closed(params: SubsystemParams, n):
+    """Long-run fraction of jammed slots under the finite threshold n; n as for avg_eaoii_closed.
 
     Equals (1-p)^n / (1 - q + q (1-p)^n): the stationary mass at or above
     the threshold. Strictly decreasing in n; equal to 1 at n = 0.
@@ -263,15 +261,8 @@ def avg_eaoii_no_jam(params: SubsystemParams) -> float:
     return (1.0 + body) / (2.0 * r)
 
 
-def steady_curves(params: SubsystemParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (avg_eaoii, avg_aat) over thresholds n = 0 .. n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return _steady_averages(params, np.arange(n_max + 1, dtype=np.float64))
-
-
-def steady_reward(params: SubsystemParams, n, lam: float) -> float:
-    """Steady-state adversary reward of threshold n at jamming cost lam."""
+def steady_reward(params: SubsystemParams, n, lam):
+    """Steady-state adversary reward of threshold n at jamming cost lam; both broadcast."""
     sbar, dbar = _steady_averages(params, _finite_threshold(n))
     return sbar - lam * dbar
 
@@ -316,25 +307,19 @@ def _lambda_decay(params: SubsystemParams, n):
     return np.maximum(decay, 0.0) if isinstance(n, np.ndarray) else max(decay, 0.0)
 
 
-def lambda_seq(params: SubsystemParams, n) -> float:
-    """Jamming cost at which thresholds n and n+1 earn the same reward.
+def lambda_seq(params: SubsystemParams, n):
+    """Jamming cost at which thresholds n and n+1 earn the same reward; n may be an integer array.
 
     The reward lines avg_eaoii(n) - lam * avg_aat(n) of consecutive
     thresholds intersect at exactly one subsidy level; this closed form is
     that intersection. It is strictly increasing in n (toward
     ``lambda_limit``), zero everywhere when q = 0, and doubles as the
-    per-state priority index of the multi-channel jammer.
+    per-state priority index of the multi-channel jammer. A scalar age is
+    evaluated with Python's float power and an age array with numpy's, which
+    may differ in the last place.
     """
     n = _finite_threshold(n)
     return lambda_limit(params) - _lambda_decay(params, n)
-
-
-def lambda_curve(params: SubsystemParams, n_max: int) -> np.ndarray:
-    """Vectorized lambda_seq over n = 0 .. n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    ns = np.arange(n_max + 1, dtype=np.float64)
-    return lambda_limit(params) - _lambda_decay(params, ns)
 
 
 def intersection_lambda(params: SubsystemParams, m: int, n) -> float:

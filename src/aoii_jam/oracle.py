@@ -23,7 +23,7 @@ from .core import (
     eaoii_ladder,
     lambda_limit,
     stationary_pmf,
-    steady_curves,
+    steady_reward,
 )
 
 __all__ = [
@@ -101,7 +101,6 @@ class ValueIterationResult:
     values: np.ndarray
     policy: np.ndarray
     iterations: int
-    converged: bool
 
 
 def relative_value_iteration(
@@ -126,32 +125,30 @@ def relative_value_iteration(
     fail_active = 1.0 - pj
     s = eaoii_ladder(params, cap + 1)
     values = np.zeros(cap + 1)
-    span = math.inf
-    for iteration in range(1, cfg.max_iterations + 1):
-        shifted = np.empty_like(values)
+    shifted = np.empty(cap + 1)
+
+    def actions(values):
+        """(passive, active) updates of ``values``; the top age self-loops."""
         shifted[:-1] = values[1:]
         shifted[-1] = values[-1]
         passive = s + fail_passive * shifted + p * values[0]
-        active = s - lam + fail_active * shifted + pj * values[0]
-        updated = np.maximum(passive, active)
+        return passive, s - lam + fail_active * shifted + pj * values[0]
+
+    span = math.inf
+    for iteration in range(1, cfg.max_iterations + 1):
+        updated = np.maximum(*actions(values))
         diff = updated - values
         hi = float(diff.max())
         lo = float(diff.min())
         span = hi - lo
         values = updated - updated[0]
         if span < cfg.tolerance:
-            theta = 0.5 * (hi + lo)
-            # Recompute both action values at the fixed point for the policy.
-            shifted[:-1] = values[1:]
-            shifted[-1] = values[-1]
-            passive = s + fail_passive * shifted + p * values[0]
-            active = s - lam + fail_active * shifted + pj * values[0]
+            passive, active = actions(values)  # both action values at the fixed point
             return ValueIterationResult(
-                theta=theta,
+                theta=0.5 * (hi + lo),
                 values=values,
                 policy=active >= passive,
                 iterations=iteration,
-                converged=True,
             )
     raise ConvergenceError(
         f"value iteration did not converge in {cfg.max_iterations} sweeps", span
@@ -159,15 +156,13 @@ def relative_value_iteration(
 
 
 def extract_threshold(result: ValueIterationResult) -> ThresholdPolicy:
-    """First active age of a converged policy; INFINITE if all passive.
+    """First active age of a policy; INFINITE if all passive.
 
     An all-passive policy is only trustworthy when the jamming cost is known
     to be at or above lambda_limit, since a finite threshold beyond the
     truncation looks identical. A non-monotone policy (active then passive)
     contradicts the threshold structure and raises.
     """
-    if not result.converged:
-        raise ValueError("threshold extraction requires a converged result")
     policy = np.asarray(result.policy, dtype=bool)
     if not policy.any():
         return ThresholdPolicy(INFINITE)
@@ -223,9 +218,18 @@ def _tail_mass(params: SubsystemParams, n: int, cap: int) -> float:
     return stationary_pmf(params, n, cap) * b / (1.0 - b)
 
 
-def avg_numeric(
-    params: SubsystemParams, n: int, cfg: OracleConfig | None = None
-) -> tuple[float, float]:
+def _tail_cap(params: SubsystemParams, n: int, target: float, min_steps: int) -> int:
+    """n plus the steps, at least ``min_steps``, that bring b^steps down to target (1-b).
+
+    Above threshold n the age law decays like b^(k-n), b = 1 - p(1-q); at b = 0 it has no tail.
+    """
+    b = 1.0 - delivery_probability(params, True)
+    if b == 0.0:
+        return n + 10
+    return n + max(math.ceil(math.log(target * (1.0 - b)) / math.log(b)), min_steps)
+
+
+def avg_numeric(params: SubsystemParams, n: int) -> tuple[float, float]:
     """(avg EAoII, avg attack time) by truncated summation of the age law.
 
     Sums s_k and the jam indicator against the stationary probabilities up
@@ -233,16 +237,9 @@ def avg_numeric(
     adds the exact geometric remainders of both tails, keeping the residual
     under 1e-12 in all cases.
     """
-    p, q, r = params.p, params.q, params.r
+    r = params.r
     b = 1.0 - delivery_probability(params, True)
-    floor = cfg.state_cap if cfg is not None else 0
-    if b == 0.0:
-        cap = max(n + 10, floor)
-    else:
-        # Mass above the cap decays like b^(cap-n); s_k is below 1/(2r).
-        target = 1e-13 * (1.0 - b) * 2.0 * r
-        steps = math.ceil(math.log(target) / math.log(b)) if target < 1.0 else 0
-        cap = max(n + max(steps, 10), floor)
+    cap = _tail_cap(params, n, 1e-13 * 2.0 * r, 10)  # s_k is below 1/(2r)
     u = stationary_pmf(params, n, np.arange(cap + 1))
     s = eaoii_ladder(params, cap + 1)
     avg_s = float(np.sum(s * u))
@@ -275,8 +272,9 @@ def brute_force_threshold(
     for cost in lams:
         _check_cost(float(cost))
     limit = lambda_limit(params)
-    sbar, dbar = steady_curves(params, n_max)
-    best = np.argmax(sbar - lams[:, None] * dbar, axis=1)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    best = np.argmax(steady_reward(params, np.arange(n_max + 1), lams[:, None]), axis=1)
     edge = lams[(best == n_max) & (lams < limit)]
     if edge.size:
         raise ValueError(

@@ -22,7 +22,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import core, oracle, whittle
-from .oracle import _tail_mass, _threshold_kernel_sigma
+from .oracle import _tail_cap, _tail_mass, _threshold_kernel_sigma
 
 # Grid knobs kept module-level so the acceptance suite and the CLI agree.
 RVI_PARAMS = [(0.9, 0.9, 0.1), (0.5, 0.6, 0.3)]
@@ -99,20 +99,12 @@ def check_kernel_stochastic(grid) -> Iterator[tuple[float, dict]]:
                 yield math.inf if broken else abs(total - 1.0), _witness(params, k=k, jammed=jammed)
 
 
-def _pmf_cap(params, n, target=1e-10) -> int:
-    b = 1.0 - core.delivery_probability(params, True)
-    if b == 0.0:
-        return n + 10
-    steps = math.ceil(math.log(target * (1.0 - b)) / math.log(b))
-    return n + max(steps, 20)
-
-
 def check_stationary_vs_power_iteration(grid) -> Iterator[tuple[float, dict]]:
     """Closed-form age law vs the power-iteration fixed point (TV distance)."""
     solved = {}  # the numeric law and its cap read p, q and n only: one solve serves every r
     for params in grid:
         for n in N_GRID:
-            cap = _pmf_cap(params, n)
+            cap = _tail_cap(params, n, 1e-10, 20)
             key = (params.p, params.q, n)
             if key not in solved:
                 cfg = oracle.OracleConfig(state_cap=cap, tolerance=1e-14)
@@ -126,7 +118,7 @@ def check_stationary_normalization(grid) -> Iterator[tuple[float, dict]]:
     """Closed-form age law sums to one, geometric tail included."""
     for params in grid:
         for n in N_GRID:
-            cap = _pmf_cap(params, n, target=1e-16)
+            cap = _tail_cap(params, n, 1e-16, 20)
             total = core.stationary_pmf(params, n, np.arange(cap + 1)).sum()
             total += _tail_mass(params, n, cap)
             yield abs(total - 1.0), _witness(params, n=n)
@@ -136,7 +128,7 @@ def check_stationary_balance(grid) -> Iterator[tuple[float, dict]]:
     """The closed-form law satisfies the full balance equation pointwise."""
     for params in grid:
         for n in N_GRID:
-            cap = _pmf_cap(params, n, target=1e-16)
+            cap = _tail_cap(params, n, 1e-16, 20)
             u = core.stationary_pmf(params, n, np.arange(cap + 1))
             sigma = _threshold_kernel_sigma(params, n, cap)
             # Inflow to age 0 comes from every age; the tail beyond the cap
@@ -195,7 +187,7 @@ def check_lambda_seq_vs_ratio(grid) -> Iterator[tuple[float, dict]]:
 def check_lambda_monotone_below_limit(grid) -> Iterator[tuple[float, dict]]:
     """The tie sequence never decreases and never exceeds its limit."""
     for params in grid:
-        seq = core.lambda_curve(params, 200)
+        seq = core.lambda_seq(params, np.arange(201))
         limit = core.lambda_limit(params)
         yield max(float(np.max(seq - limit)), 0.0), _witness(params)
         diffs = np.diff(seq)
@@ -211,7 +203,7 @@ def check_lambda_monotone_below_limit(grid) -> Iterator[tuple[float, dict]]:
 def check_lambda_limit_is_sup(grid) -> Iterator[tuple[float, dict]]:
     """The limit matches the supremum of the sequence out to n = 10^4."""
     for params in grid:
-        sup = float(core.lambda_curve(params, 10_000).max())
+        sup = float(core.lambda_seq(params, np.arange(10_001)).max())
         yield abs(core.lambda_limit(params) - sup), _witness(params)
 
 
@@ -289,10 +281,12 @@ def check_exchange_sign_flip(grid) -> Iterator[tuple[float, dict]]:
 
 
 def check_whittle_closed_equals_lambda(grid) -> Iterator[tuple[float, dict]]:
-    """The priority index is the tie subsidy, state for state."""
+    """The index table is the tie subsidy, state for state."""
+    ages = np.array(N_GRID)
     for params in grid:
-        for n in N_GRID:
-            gap = abs(whittle.whittle_index_closed(params, n) - core.lambda_seq(params, n))
+        table = whittle.whittle_table_closed(params, max(N_GRID))
+        gaps = np.abs(table[ages] - core.lambda_seq(params, ages))
+        for n, gap in zip(N_GRID, gaps.tolist()):
             yield gap, _witness(params, n=n)
 
 

@@ -4,7 +4,7 @@ Each of N independent subsystems carries its own (p, q, r) triple and age.
 With a budget of M < N simultaneous jams, the heuristic of choice jams the
 M channels whose current age has the highest index value, where the index
 of age k is exactly the tie subsidy ``lambda_seq(params, k)`` of the
-single-channel problem. This module provides the closed-form index, an
+single-channel problem. This module provides the closed-form index table, an
 iterative construction used purely as a cross-check, the indexability
 verification that justifies the index, and the budgeted selection rule.
 """
@@ -15,20 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    SubsystemParams,
-    _natural,
-    _pairwise_ratio,
-    lambda_curve,
-    lambda_seq,
-    steady_curves,
-)
+from .core import SubsystemParams, _natural, _pairwise_ratio, avg_aat_closed, lambda_seq
 
 __all__ = [
     "SubsystemState",
     "FleetConfig",
     "IndexStructureError",
-    "whittle_index_closed",
     "whittle_table_closed",
     "whittle_index_iterative",
     "indexability_check",
@@ -103,14 +95,11 @@ class FleetConfig:
         return cls(subsystems=tuple(subsystems), budget=budget)
 
 
-def whittle_index_closed(params: SubsystemParams, n: int) -> float:
-    """Priority index of age n: the tie subsidy ``lambda_seq``, which the budgeted policy ranks."""
-    return lambda_seq(params, n)
-
-
 def whittle_table_closed(params: SubsystemParams, n_max: int) -> np.ndarray:
-    """Closed-form index table over ages 0 .. n_max."""
-    return lambda_curve(params, n_max)
+    """Closed-form index table over ages 0 .. n_max: ``lambda_seq`` of the age array."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    return lambda_seq(params, np.arange(n_max + 1))
 
 
 def whittle_index_iterative(params: SubsystemParams, n_max: int) -> np.ndarray:
@@ -178,9 +167,11 @@ def indexability_check(params: SubsystemParams, n_max: int) -> bool:
     triple; the one degenerate corner is p = 1, where the attack time is
     already 0 from threshold 1 on and further strictness is vacuous (ages
     above 0 are unreachable without jamming), so a zero step is accepted
-    after a zero. Read off the attack-time column of ``steady_curves``.
+    after a zero. Read off ``avg_aat_closed`` of the thresholds 0 .. n_max.
     """
-    aat = steady_curves(params, n_max)[1]
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    aat = avg_aat_closed(params, np.arange(n_max + 1))
     step = np.diff(aat)
     return not np.any((step > 0.0) | ((step == 0.0) & (aat[:-1] > 0.0)))
 
@@ -199,7 +190,7 @@ def select_jam_set(fleet: list[SubsystemState], budget: int) -> set[int]:
         raise ValueError(f"budget {budget} exceeds fleet size {len(fleet)}")
     ranked = sorted(
         fleet,
-        key=lambda sub: (-whittle_index_closed(sub.params, sub.age), sub.subsystem_id),
+        key=lambda sub: (-lambda_seq(sub.params, sub.age), sub.subsystem_id),
     )
     return {sub.subsystem_id for sub in ranked[:budget]}
 

@@ -14,13 +14,11 @@ from aoii_jam.core import (
     eaoii_ladder,
     eaoii_value,
     intersection_lambda,
-    lambda_curve,
     lambda_limit,
     lambda_seq,
     optimal_threshold,
     optimal_thresholds,
     stationary_pmf,
-    steady_curves,
     steady_reward,
     transition_distribution,
 )
@@ -249,19 +247,20 @@ class TestAverages:
         assert avg_aat_closed(REF, 2) == pytest.approx(0.01 / 0.109, rel=1e-12)
 
     def test_aat_strictly_decreasing(self):
-        _, dbar = steady_curves(REF, 100)
+        dbar = avg_aat_closed(REF, np.arange(101))
         assert np.all(np.diff(dbar) < 0)
 
     def test_avg_eaoii_decreasing_when_jamming_bites(self):
         # Raising the threshold means less jamming, hence lower average
         # EAoII; strictness is float-checkable until the curve saturates at
         # the no-jam value (increments shrink like (1-p)^n).
-        sbar, _ = steady_curves(REF, 60)
+        sbar = avg_eaoii_closed(REF, np.arange(61))
         assert np.all(np.diff(sbar[:13]) < 0)
         assert np.all(np.diff(sbar) <= 0)
 
     def test_curves_match_scalars(self):
-        sbar, dbar = steady_curves(REF, 30)
+        ages = np.arange(31)
+        sbar, dbar = avg_eaoii_closed(REF, ages), avg_aat_closed(REF, ages)
         for n in range(31):
             assert sbar[n] == pytest.approx(avg_eaoii_closed(REF, n), rel=1e-13)
             assert dbar[n] == pytest.approx(avg_aat_closed(REF, n), rel=1e-13)
@@ -272,7 +271,7 @@ class TestLambdaSequence:
         params = SubsystemParams(0.7, 0.0, 0.2)
         assert lambda_seq(params, 0) == 0.0
         assert lambda_limit(params) == 0.0
-        assert np.all(lambda_curve(params, 50) == 0.0)
+        assert np.all(lambda_seq(params, np.arange(51)) == 0.0)
 
     def test_matches_difference_ratio(self):
         # Raw differences keep enough digits up to n ~ 5 for these params;
@@ -290,7 +289,7 @@ class TestLambdaSequence:
                 )
 
     def test_strictly_increasing_then_saturates_at_limit(self):
-        seq = lambda_curve(REF, 2000)
+        seq = lambda_seq(REF, np.arange(2001))
         limit = lambda_limit(REF)
         assert np.all(np.diff(seq) >= 0)
         assert np.all(seq <= limit)
@@ -299,7 +298,7 @@ class TestLambdaSequence:
 
     def test_limit_value(self):
         assert lambda_limit(REF) == pytest.approx(4.489249880554228, rel=1e-12)
-        assert float(lambda_curve(REF, 10_000).max()) == pytest.approx(
+        assert float(lambda_seq(REF, np.arange(10_001)).max()) == pytest.approx(
             lambda_limit(REF), abs=1e-6
         )
 
@@ -352,10 +351,10 @@ class TestOptimalThreshold:
     def test_matches_float_reward_argmax(self):
         # Float argmax is trustworthy while the reward increments around the
         # maximizer stay well above the reward's ULP (n* up to ~12 here).
-        sbar, dbar = steady_curves(REF, 3000)
+        ages = np.arange(3001)
         for lam in (0.5, 1.0, 1.7, 2.5, 3.0, 3.3):
             policy = optimal_threshold(REF, lam)
-            assert policy.threshold == int(np.argmax(sbar - lam * dbar))
+            assert policy.threshold == int(np.argmax(steady_reward(REF, ages, lam)))
 
     def test_matches_exact_reward_argmax_deep(self):
         curve = ExactRewardCurve(REF, 120)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -12,11 +13,11 @@ from aoii_jam.core import (
     avg_aat_closed,
     avg_eaoii_closed,
     avg_eaoii_no_jam,
+    delivery_probability,
     lambda_limit,
     lambda_seq,
     optimal_threshold,
     stationary_pmf,
-    steady_curves,
     steady_reward,
 )
 from aoii_jam.oracle import (
@@ -24,6 +25,7 @@ from aoii_jam.oracle import (
     OracleConfig,
     ThresholdStructureError,
     ValueIterationResult,
+    _tail_cap,
     avg_numeric,
     brute_force_threshold,
     extract_threshold,
@@ -31,6 +33,7 @@ from aoii_jam.oracle import (
     relative_value_iteration,
     stationary_pmf_numeric,
 )
+from aoii_jam.verify import default_grid
 
 REF = SubsystemParams(p=0.9, q=0.9, r=0.1)
 CFG = OracleConfig(state_cap=800, tolerance=1e-10)
@@ -53,7 +56,6 @@ class TestConfig:
 class TestValueIteration:
     def test_free_jamming_is_all_jam(self):
         result = relative_value_iteration(REF, 0.0, OracleConfig(state_cap=200))
-        assert result.converged
         assert result.policy.all()
         assert extract_threshold(result) == ThresholdPolicy(0)
 
@@ -104,7 +106,6 @@ class TestExtractThreshold:
             values=np.zeros(len(policy)),
             policy=policy,
             iterations=1,
-            converged=True,
         )
 
     def test_first_active_index(self):
@@ -116,12 +117,6 @@ class TestExtractThreshold:
     def test_non_monotone_raises(self):
         with pytest.raises(ThresholdStructureError):
             extract_threshold(self._result([0, 1, 0, 1]))
-
-    def test_unconverged_rejected(self):
-        result = self._result([0, 1])
-        result.converged = False
-        with pytest.raises(ValueError):
-            extract_threshold(result)
 
 
 class TestStationaryNumeric:
@@ -192,7 +187,8 @@ def brute_reference(params, lam, n_max):
     """One cost, one curve: INFINITE at or above the limit, else the argmax, or the edge message."""
     if lam >= lambda_limit(params):
         return ThresholdPolicy(INFINITE)
-    sbar, dbar = steady_curves(params, n_max)
+    ages = np.arange(n_max + 1)
+    sbar, dbar = avg_eaoii_closed(params, ages), avg_aat_closed(params, ages)
     best = int(np.argmax(sbar - lam * dbar))
     return "edge" if best == n_max else ThresholdPolicy(best)
 
@@ -243,3 +239,33 @@ class TestBruteForceArray:
         for bad in (float("nan"), -0.1, float("inf")):
             with pytest.raises(ValueError, match="lam must be finite and >= 0"):
                 brute_force_threshold(REF, np.array([0.0, bad]), 500)
+
+
+class TestTailCap:
+    """The one tail-cap rule gives the caps both oracles computed on their own."""
+
+    @staticmethod
+    def avg_numeric_cap(params, n):
+        b = 1.0 - delivery_probability(params, True)
+        if b == 0.0:
+            return n + 10
+        target = 1e-13 * (1.0 - b) * 2.0 * params.r
+        return n + max(math.ceil(math.log(target) / math.log(b)), 10)
+
+    @staticmethod
+    def verify_cap(params, n, target):
+        b = 1.0 - delivery_probability(params, True)
+        if b == 0.0:
+            return n + 10
+        return n + max(math.ceil(math.log(target * (1.0 - b)) / math.log(b)), 20)
+
+    def test_both_old_caps_on_the_default_grid(self):
+        caps = set()
+        for params in default_grid():
+            for n in (0, 1, 2, 5, 10, 20):
+                new = _tail_cap(params, n, 1e-13 * 2.0 * params.r, 10)
+                assert new == self.avg_numeric_cap(params, n)
+                for target in (1e-10, 1e-16):
+                    assert _tail_cap(params, n, target, 20) == self.verify_cap(params, n, target)
+                caps.add(new - n)
+        assert {10} < caps  # the floor binds somewhere, the log rule elsewhere

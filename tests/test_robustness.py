@@ -1,5 +1,7 @@
 import ast
+import importlib
 import pathlib
+import pkgutil
 
 import pytest
 
@@ -33,3 +35,19 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_public_names_exist_and_star_import():
+    # Every name a module lists in __all__ is defined, and a star import
+    # brings in exactly those names.
+    listed = []
+    for info in pkgutil.iter_modules(aoii_jam.__path__):
+        module = importlib.import_module(f"aoii_jam.{info.name}")
+        if not hasattr(module, "__all__"):
+            continue
+        listed.append(info.name)
+        namespace = {}
+        exec(f"from aoii_jam.{info.name} import *", namespace)
+        assert len(set(module.__all__)) == len(module.__all__)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(module.__all__)
+    assert listed == ["core", "oracle", "sim", "whittle"]

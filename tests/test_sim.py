@@ -14,7 +14,7 @@ from aoii_jam.core import (
     avg_aat_closed,
     avg_eaoii_closed,
     eaoii_ladder,
-    lambda_curve,
+    lambda_seq,
     stationary_pmf,
 )
 from aoii_jam.sim import (
@@ -26,7 +26,7 @@ from aoii_jam.sim import (
     single_trace,
     summarize_trace,
 )
-from aoii_jam.whittle import FleetConfig, SubsystemState, select_jam_set
+from aoii_jam.whittle import FleetConfig, SubsystemState, select_jam_set, whittle_table_closed
 from reference import (
     GroundTruthState,
     initial_state,
@@ -574,7 +574,7 @@ class TestMultiSource:
         simulate_multi_batch(FleetConfig((params,) * 2, 1), WhittleJam(), 20_000, [2])
         age, mask = np.concatenate(ages), np.concatenate(masks)
         assert age.max() > 4_095
-        index = lambda_curve(params, int(age.max()))[age]
+        index = lambda_seq(params, np.arange(int(age.max()) + 1))[age]
         assert (mask[:, 1] == (index[:, 1] > index[:, 0])).all()
 
     def test_both_tables_grow_on_one_schedule(self, monkeypatch):
@@ -586,7 +586,7 @@ class TestMultiSource:
 
         def table(p, n_max):
             index_ages.append(n_max)
-            return lambda_curve(p, n_max)
+            return whittle_table_closed(p, n_max)
 
         def ladder(p, size):
             sizes.append(size)

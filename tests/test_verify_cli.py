@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aoii_jam.cli as cli_mod
 import aoii_jam.core as core_mod
@@ -92,6 +94,23 @@ class TestVerifySuite:
         witness = report["checks"][0]["witness"]
         assert {"p", "q", "r", "n"} <= set(witness)
 
+    def test_index_table_one_ulp_off_fails(self, monkeypatch):
+        # The index table and lambda_seq of an age array agree to the bit, so
+        # the check's tolerance is 0 and one ulp at any age fails it.
+        assert run_checks(names=["whittle_closed_equals_lambda"])["passed"]
+        real = whittle_mod.whittle_table_closed
+
+        def nudged(params, n_max):
+            table = real(params, n_max)
+            table[5] = np.nextafter(table[5], np.inf)
+            return table
+
+        monkeypatch.setattr(whittle_mod, "whittle_table_closed", nudged)
+        check = run_checks(names=["whittle_closed_equals_lambda"])["checks"][0]
+        assert not check["passed"]
+        assert 0.0 < check["worst_error"] < 1e-15
+        assert check["witness"]["n"] == 5
+
     @staticmethod
     def counted(monkeypatch, module, name):
         calls = []
@@ -105,7 +124,7 @@ class TestVerifySuite:
         return calls
 
     def test_brute_check_builds_one_curve_per_triple(self, monkeypatch):
-        curves = self.counted(monkeypatch, oracle_mod, "steady_curves")
+        curves = self.counted(monkeypatch, oracle_mod, "steady_reward")
         brutes = self.counted(monkeypatch, oracle_mod, "brute_force_threshold")
         report = run_checks(names=["optimal_threshold_vs_brute"])
         assert report["passed"]
@@ -526,12 +545,39 @@ class TestTableWriter:
             cli_mod._write_table(stream, config, table, fmt)
             assert stream.getvalue() == render_table(config, table, fmt)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 9), block=st.integers(1, 4))
+    def test_json_rows_are_the_json_encoders_text(self, data, rows, block):
+        # Cells of every kind, the float edge values among them, under names
+        # that need escaping, in an order the sort must fix.
+        kinds = {
+            "float": st.floats(allow_nan=True, allow_infinity=True)
+            | st.sampled_from([-0.0, 5e-324, 1e300, -math.inf, math.inf]),
+            "int": st.integers(-2**63, 2**63 - 1),
+            "bool": st.booleans(),
+            "text": st.text(max_size=6),
+        }
+        names = data.draw(st.lists(st.sampled_from(["z", "a", "%s", "q\"\u00e9", "%%d", "lambda"]),
+                                   min_size=1, max_size=4, unique=True))
+        table = {}
+        for name in names:
+            kind = data.draw(st.sampled_from(sorted(kinds)))
+            values = data.draw(st.lists(kinds[kind], min_size=rows, max_size=rows))
+            table[name] = np.array(values, dtype=object if kind == "text" else None)
+        config = {"command": "test", "lambda-limit": 4.5}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli_mod, "_BLOCK_ROWS", block)
+            stream = io.StringIO()
+            cli_mod._write_table(stream, config, table, "json")
+        assert stream.getvalue() == render_table(config, table, "json")
+
     def test_writer_memory_is_a_few_blocks(self, monkeypatch):
         # 2 * 10^5 rows are 25 blocks. The writer holds one block's cells,
         # rows and text at a time, so its peak is a fixed number of blocks of
         # its own text, whatever the table's length. Measured peaks, in blocks
-        # of text: this writer 5.4 (CSV) and 12.6 (JSON); every column
-        # formatted at once 132 (CSV); json.dump of every row at once 109.
+        # of text: this writer 5.4 (CSV) and 3.8 (JSON; 12.6 when json encoded
+        # each block's rows); every column formatted at once 132 (CSV);
+        # json.dump of every row at once 109.
         rows = 200_000
         table = {"lambda": np.random.default_rng(0).random(rows)}
 

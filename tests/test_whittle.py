@@ -18,7 +18,6 @@ from aoii_jam.whittle import (
     SubsystemState,
     indexability_check,
     select_jam_set,
-    whittle_index_closed,
     whittle_index_iterative,
     whittle_table_closed,
 )
@@ -32,8 +31,10 @@ CLASS_FAST = SubsystemParams(p=0.8, q=0.8, r=0.2)
 
 class TestClosedIndex:
     def test_is_the_tie_subsidy(self):
-        for n in (0, 1, 5, 30):
-            assert whittle_index_closed(REF, n) == lambda_seq(REF, n)
+        ages = np.array([0, 1, 5, 30])
+        assert np.array_equal(whittle_table_closed(REF, 30)[ages], lambda_seq(REF, ages))
+        with pytest.raises(ValueError, match="n_max"):
+            whittle_table_closed(REF, -1)
 
     def test_zero_without_jamming_power(self):
         params = SubsystemParams(p=0.5, q=0.0, r=0.25)
@@ -234,7 +235,7 @@ class TestSelectJamSet:
         budget = data.draw(st.integers(0, size))
         ranked = sorted(
             fleet,
-            key=lambda s: (-whittle_index_closed(s.params, s.age), s.subsystem_id),
+            key=lambda s: (-lambda_seq(s.params, s.age), s.subsystem_id),
         )
         assert select_jam_set(fleet, budget) == {s.subsystem_id for s in ranked[:budget]}
 
