@@ -21,6 +21,7 @@ import contextlib
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -183,6 +184,21 @@ def _int_list(value) -> list[int]:
     return numbers
 
 
+def _seed(value) -> int:
+    if _int(value) < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    return value
+
+
+def _seeds(value) -> list[int]:
+    """Distinct non-negative seeds: a repeated seed is a repeated run, not a new sample."""
+    seeds = [_seed(seed) for seed in _int_list(value)]
+    repeated = sorted(seed for seed, count in Counter(seeds).items() if count > 1)
+    if repeated:
+        raise ValueError(f"expected distinct seeds, got {repeated} more than once")
+    return seeds
+
+
 def _m_rule(value) -> str:
     if _text(value) != "half":
         int(value)  # a fixed budget
@@ -222,7 +238,7 @@ OPTIONS = {
         **_PARAMS,
         **_LAMBDA_RANGE,
         "horizon": (_int, 1_000_000, _INT),
-        "seed": (_int, 12345, _INT),
+        "seed": (_seed, 12345, _INT),
     },
     "threshold-curve": {**_PARAMS, **_LAMBDA_RANGE},
     "multi-sim": {
@@ -230,7 +246,7 @@ OPTIONS = {
         "n-list": (_int_list, "4,8,16,24,32,40", {"help": "fleet sizes, e.g. 4,8,16"}),
         "m-rule": (_m_rule, "half", {"help": "'half' or a fixed integer budget"}),
         "horizon": (_int, 100_000, _INT),
-        "seeds": (_int_list, "0,1,2,3,4,5,6,7,8,9", {"help": "comma-separated seeds"}),
+        "seeds": (_seeds, "0,1,2,3,4,5,6,7,8,9", {"help": "comma-separated distinct seeds"}),
     },
     "whittle-table": {
         "params": (_params_list, REQUIRED, {"action": "append", "help": "p,q,r (repeatable)"}),
@@ -242,7 +258,7 @@ OPTIONS = {
         "policy": (_text, "never", {"help": "never|always|threshold:N|threshold:inf|random:P"}),
         "lambda": (_real, 0.0, _REAL),
         "horizon": (_int, 100_000, _INT),
-        "seed": (_int, 12345, _INT),
+        "seed": (_seed, 12345, _INT),
     },
 }
 

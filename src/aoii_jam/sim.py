@@ -11,9 +11,13 @@ subsystem draws from its own stream derived from the master seed, and
 randomized policies draw from a separate policy stream.
 
 Both simulators resolve chunks of slots: first the deliveries, then, in one
-kernel, everything else. Only the fleet's index policy steps one slot at a
-time, to decide its jams; a single-source run and the fleet's random baseline
-draw a whole chunk's jams and deliveries with array operations. Both reduce
+kernel, everything else. A single-source run and the fleet's random baseline
+draw a whole chunk's jams and deliveries with array operations. The fleet's
+index policy decides its jams from the ages, so it ranks the channels one
+slot at a time only where its jam set changes: after each ranked step it
+speculates that the set holds for a block of slots, checks every slot of
+the block in one array pass, and keeps the block up to the first slot where
+the set is no longer the one ranking would choose. Both simulators reduce
 their chunks into the same channel and batch sums, from which one function
 builds every run summary.
 """
@@ -40,6 +44,11 @@ MAX_HORIZON = 10_000_000
 
 # Largest fleet: the random baseline's keys int64(u * 2**53) * N + channel fit up to here.
 MAX_FLEET = 1024
+
+# The index policy's speculation (``_index_masks``): the longest block of slots
+# it checks in one array pass, the shortest kept prefix that counts as a
+# success, and the most ranked steps it takes between two failed blocks.
+_MAX_BLOCK, _MIN_KEPT, _MAX_BACKOFF = 64, 4, 256
 
 
 @dataclass(frozen=True)
@@ -305,6 +314,86 @@ def simulate_single(
     return summarize_trace(params, single_trace(params, policy, horizon, seed), lam, seed)
 
 
+def _in_front(keys, held) -> np.ndarray:
+    """Per (slot, seed) of channel-major keys: are the keys of the set ``held`` below all others?"""
+    inside = keys.max(axis=0, where=held.T[:, None], initial=-1)
+    return inside < keys.min(axis=0, where=~held.T[:, None], initial=np.iinfo(keys.dtype).max)
+
+
+def _held_slots(held, maybe, toggle, lookup, flat_keys, base) -> tuple[int, np.ndarray]:
+    """How many of a block's slots keep the (seed, channel) jam set ``held``; the lookup after them.
+
+    ``maybe`` and ``toggle`` are the block's (slot, seed, channel) draws and
+    ``lookup`` its first slot's table positions, ``base`` plus the age. With
+    ``held`` jammed throughout, age minus slot stays put until a delivery at
+    block slot i sets it to ``-i - 1``, below every earlier value, so one
+    running minimum gives every slot's age (int32, as ``MAX_HORIZON`` bounds
+    the ages). A slot keeps the set when, in every seed, the largest key
+    inside it is below the smallest outside: the keys are unique, so that is
+    exactly ``jam_mask``'s choice. The keys are gathered channel-major, so
+    both reductions run across whole (slot, seed) rows. The first slot needs
+    no deliveries, so it is checked on its own first: where the set changes
+    almost every slot, most blocks end there.
+    """
+    size, (lanes, channels) = len(maybe), lookup.shape
+    col = np.arange(channels)
+    if not _in_front((flat_keys[lookup] + col).T[:, None], held).all():
+        return 0, lookup
+    slots = np.arange(size + 1, dtype=np.int32)[:, None, None]
+    ages = np.empty((size + 1, lanes, channels), dtype=np.int32)
+    ages[0] = lookup - base
+    np.subtract(ages[0], (maybe ^ (held & toggle)) * (ages[0] + slots[1:]), out=ages[1:])
+    np.minimum.accumulate(ages, axis=0, out=ages)
+    ages += slots
+    at = np.empty((channels, size, lanes), dtype=lookup.dtype)
+    np.add(base, ages[:-1], out=at.transpose(1, 2, 0))
+    keys = flat_keys[at]
+    keys += col[:, None, None]
+    holds = _in_front(keys, held).all(axis=1)
+    kept = size if holds.all() else int(holds.argmin())
+    return kept, base + ages[kept]
+
+
+def _index_masks(masks, maybe, toggle, lookup, flat_keys, base, budget) -> tuple[int, int]:
+    """Fill a chunk's (slot, seed, channel) jam masks under the index policy.
+
+    A ranked step jams, in every seed, the ``budget`` channels with the
+    smallest keys at their current ages. Then the loop speculates that this
+    set holds for a block of slots and keeps the block up to its first slot
+    where it does not (``_held_slots``), so every mask is the one ranked
+    steps alone would give. The block starts at 1 slot and doubles after
+    each kept block, up to ``_MAX_BLOCK``; a partly kept block of
+    ``_MIN_KEPT`` slots or more sets it to that length. A block that keeps
+    fewer makes the loop take 1, 2, 4, ... up to ``_MAX_BACKOFF`` ranked
+    steps before it speculates again, so a fleet whose set changes almost
+    every slot costs little more than ranked steps alone. Returns the
+    number of ranked steps and of speculative blocks.
+    """
+    col, chunk = np.arange(masks.shape[-1]), len(masks)
+    steps = blocks = slot = 0
+    length, backoff, wait = 1, 1, 1
+    while True:
+        stop = min(slot + wait, chunk)
+        for j in range(slot, stop):
+            masks[j] = jam_mask(flat_keys[lookup] + col, budget)
+            lookup += 1
+            np.copyto(lookup, base, where=maybe[j] ^ (masks[j] & toggle[j]))
+        steps, slot = steps + stop - slot, stop
+        if slot == chunk:
+            return steps, blocks
+        block = slice(slot, min(slot + length, chunk))
+        held = masks[slot - 1]
+        kept, lookup = _held_slots(held, maybe[block], toggle[block], lookup, flat_keys, base)
+        masks[slot:slot + kept] = held
+        blocks, slot = blocks + 1, slot + kept
+        if slot == block.stop:
+            length, backoff, wait = min(2 * length, _MAX_BLOCK), 1, 0
+        elif kept >= _MIN_KEPT:
+            length, backoff, wait = kept, 1, 1
+        else:
+            backoff, wait = min(2 * backoff, _MAX_BACKOFF), backoff
+
+
 def simulate_multi_batch(
     fleet: FleetConfig, policy: PolicySpec, horizon: int, seeds: list[int]
 ) -> list[SimStats]:
@@ -317,9 +406,12 @@ def simulate_multi_batch(
     baseline); a slot that jams any other number raises ``RuntimeError``.
 
     Each chunk fills one (slot, seed, channel) jam mask: the index policy
-    steps through the slots for all seeds at once, as its jams depend on the
-    ages; the baseline picks a seed's jam sets for the whole chunk in one
-    call; at budget 0 the mask stays empty. One check covers every seed;
+    works through the slots for all seeds at once, as its jams depend on the
+    ages, ranking the channels only where its jam set may change and
+    checking the slots in between a block at a time (``_index_masks``, whose
+    masks equal one ranked step per slot bit for bit); the baseline picks a
+    seed's jam sets for the whole chunk in one call; at budget 0 the mask
+    stays empty. One check covers every seed;
     then, per seed, the mask gives the deliveries, and ``_resolve`` and
     ``_add_chunk`` do the rest. Both per-class tables, the index ranks and
     the EAoII ladder, grow before any chunk that could outrun them, so each
@@ -372,11 +464,7 @@ def simulate_multi_batch(
         # in bool ops, which run 5x faster on bools.
         toggle = maybe ^ sure
         if looped:
-            lookup = base + start_ages
-            for j in range(chunk):
-                masks[j] = jam_mask(flat_keys[lookup] + col, budget)
-                lookup += 1
-                np.copyto(lookup, base, where=maybe[j] ^ (masks[j] & toggle[j]))
+            _index_masks(masks, maybe, toggle, base + start_ages, flat_keys, base, budget)
         elif budget:
             # The lowest uniform of each slot wins, ties to the lower channel;
             # random() returns multiples of 2**-53, so the keys are exact.

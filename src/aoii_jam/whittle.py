@@ -180,6 +180,9 @@ def select_jam_set(fleet: list[SubsystemState], budget: int) -> set[int]:
     """Ids of the min(budget, N) channels with the highest current indices.
 
     Ties break toward the lower subsystem id so replays are deterministic.
+    The indices are read as the fleet simulator reads them, from one
+    ``lambda_seq`` age array per distinct ``params``: a scalar age may
+    differ from the array value in the last place.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -188,11 +191,14 @@ def select_jam_set(fleet: list[SubsystemState], budget: int) -> set[int]:
         raise ValueError("subsystem ids must be unique within a fleet")
     if budget > len(fleet):
         raise ValueError(f"budget {budget} exceeds fleet size {len(fleet)}")
-    ranked = sorted(
-        fleet,
-        key=lambda sub: (-lambda_seq(sub.params, sub.age), sub.subsystem_id),
-    )
-    return {sub.subsystem_id for sub in ranked[:budget]}
+    members = {}
+    for i, sub in enumerate(fleet):
+        members.setdefault(sub.params, []).append(i)
+    index = np.empty(len(fleet))
+    for params, channels in members.items():
+        index[channels] = lambda_seq(params, np.array([fleet[i].age for i in channels]))
+    ranked = sorted(range(len(fleet)), key=lambda i: (-index[i], ids[i]))
+    return {ids[i] for i in ranked[:budget]}
 
 
 def rank_keys(tables: np.ndarray, channels: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Reference implementations the fast code is checked against.
 
 A pure one-slot model that the simulator's fast loop is replayed against,
-the ``np.where`` forms of the simulator's two chunk kernels on int64, and
-the per-cell table writer that the CLI's block writer must match byte for
-byte.
+the ``np.where`` forms of the simulator's two chunk kernels on int64, the
+fleet index policy's one ranked step per slot, and the per-cell table
+writer that the CLI's block writer must match byte for byte.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from aoii_jam.core import SubsystemParams, delivery_probability
+from aoii_jam.whittle import jam_mask
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,15 @@ def resolve_where(delivered, flips, start, carry, age, aoii):
     aoii[0] = start - last_agree
     np.subtract(slots[1:], agreement[:-1], out=aoii[1:])
     return code[-1].copy(), source[-1].copy(), agreement[-1].copy()
+
+
+def index_masks_per_slot(masks, maybe, toggle, lookup, flat_keys, base, budget):
+    """``sim._index_masks`` as one ranked step per slot: rank, jam, then step every lookup."""
+    col = np.arange(masks.shape[-1])
+    for j in range(len(masks)):
+        masks[j] = jam_mask(flat_keys[lookup] + col, budget)
+        lookup = np.where(maybe[j] ^ (masks[j] & toggle[j]), base, lookup + 1)
+    return len(masks), 0
 
 
 def fmt_cell(value) -> str:

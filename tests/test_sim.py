@@ -29,6 +29,7 @@ from aoii_jam.sim import (
 from aoii_jam.whittle import FleetConfig, SubsystemState, select_jam_set, whittle_table_closed
 from reference import (
     GroundTruthState,
+    index_masks_per_slot,
     initial_state,
     resolve_where,
     step_subsystem,
@@ -402,24 +403,35 @@ class TestMultiSource:
         with pytest.raises(RuntimeError, match="slot 0: jammed 0 channels, budget 2"):
             simulate_multi_batch(TWO_CLASS, policy, 10, [0])
 
-    @pytest.mark.parametrize("policy, drops", [
-        (WhittleJam(), {3: 2, 5: 1}), (RandomMultiJam(), {1: 5, 2: 3})], ids=["whittle", "random"])
-    def test_budget_checked_lane_by_lane_in_seed_order(self, monkeypatch, policy, drops):
-        # The index policy selects one slot for every lane per call, the baseline
-        # one lane's chunk per call. Either way this drops a jam from the second
-        # lane at slot 5 and from the third at slot 3: the error names the
-        # first lane's first bad slot.
-        real, calls = sim_mod.jam_mask, []
+    @pytest.mark.parametrize("policy", [WhittleJam(), RandomMultiJam()], ids=["whittle", "random"])
+    def test_budget_checked_lane_by_lane_in_seed_order(self, monkeypatch, policy):
+        # Drops a jam from the second lane at slot 5 and from the third at
+        # slot 3: the error names the first lane's first bad slot. The index
+        # policy fills the chunk's whole (slot, lane, channel) mask block in
+        # one call, the baseline one lane's chunk per ``jam_mask`` call.
+        drops = {(5, 1), (3, 2)}
+        if isinstance(policy, WhittleJam):
+            real = sim_mod._index_masks
 
-        def select(keys, budget):
-            mask = real(keys, budget)
-            row = drops.get(len(calls))
-            if row is not None:
-                mask[row, np.flatnonzero(mask[row])[0]] = False
-            calls.append(keys.shape)
-            return mask
+            def fill(masks, *args):
+                work = real(masks, *args)
+                for slot, lane in drops:
+                    masks[slot, lane, np.flatnonzero(masks[slot, lane])[0]] = False
+                return work
 
-        monkeypatch.setattr(sim_mod, "jam_mask", select)
+            monkeypatch.setattr(sim_mod, "_index_masks", fill)
+        else:
+            real, lanes = sim_mod.jam_mask, []
+
+            def select(keys, budget):
+                mask = real(keys, budget)
+                for slot, lane in drops:
+                    if lane == len(lanes):
+                        mask[slot, np.flatnonzero(mask[slot])[0]] = False
+                lanes.append(keys.shape)
+                return mask
+
+            monkeypatch.setattr(sim_mod, "jam_mask", select)
         with pytest.raises(RuntimeError, match="^slot 5: jammed 1 channels, budget 2$"):
             simulate_multi_batch(TWO_CLASS, policy, 10, [0, 1, 2])
 
@@ -673,3 +685,83 @@ class TestMultiSource:
             for value in (stats.se_eaoii, stats.se_reward):
                 assert value == pytest.approx(se_eaoii, rel=1e-12, abs=0.0)
             assert np.mean([sub.avg_eaoii for sub in per]) == pytest.approx(eaoii, rel=1e-12)
+
+
+# Fleets whose index ranking the speculation must reproduce: criterion 9's two
+# classes, where the jam set never changes, and two where it changes almost
+# every slot.
+SPECULATION_FLEETS = {
+    "criterion9": [(SubsystemParams(0.2, 0.2, 0.4), 0.5), (SubsystemParams(0.8, 0.8, 0.2), 0.5)],
+    "one_class": [(SubsystemParams(0.8, 0.8, 0.2), 1.0)],
+    "mixed": [(SubsystemParams(0.84, 0.88, 0.35), 0.5), (SubsystemParams(0.46, 0.80, 0.15), 0.5)],
+}
+
+
+def per_slot_runs(fleet, horizon, seeds):
+    """The index policy's runs with one ranked step per slot (the reference loop)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_mod, "_index_masks", index_masks_per_slot)
+        return simulate_multi_batch(fleet, WhittleJam(), horizon, seeds)
+
+
+class TestIndexSpeculation:
+    @pytest.mark.parametrize("horizon", [4_133, 10_007])
+    @pytest.mark.parametrize("n_total", [4, 40])
+    @pytest.mark.parametrize("name", list(SPECULATION_FLEETS))
+    def test_equals_one_ranked_step_per_slot(self, name, n_total, horizon):
+        fleet = FleetConfig.from_classes(SPECULATION_FLEETS[name], n_total, n_total // 2)
+        seeds = [0, 1, 2]
+        expected = per_slot_runs(fleet, horizon, seeds)
+        assert simulate_multi_batch(fleet, WhittleJam(), horizon, seeds) == expected
+
+    @pytest.mark.parametrize("n_total", [4, 40])
+    @pytest.mark.parametrize("name", list(SPECULATION_FLEETS))
+    def test_equals_per_slot_at_extreme_budgets(self, name, n_total):
+        for budget in (1, n_total - 1):
+            fleet = FleetConfig.from_classes(SPECULATION_FLEETS[name], n_total, budget)
+            expected = per_slot_runs(fleet, 4_133, [3, 4])
+            assert simulate_multi_batch(fleet, WhittleJam(), 4_133, [3, 4]) == expected
+
+    @pytest.mark.parametrize("fleet, horizon, seeds", [
+        (FleetConfig((REF,) * 4, 3), 10_007, [5, 6]),
+        # The slow channels of test_index_ranked_at_the_true_age outgrow the first tables.
+        (FleetConfig((SubsystemParams(0.0005, 0.9, 1e-4),) * 2, 1), 20_000, [2]),
+    ], ids=["identical_budget3", "slow_table_growth"])
+    def test_equals_per_slot_on_ties_and_growth(self, fleet, horizon, seeds):
+        expected = per_slot_runs(fleet, horizon, seeds)
+        assert simulate_multi_batch(fleet, WhittleJam(), horizon, seeds) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        triples=st.lists(st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 0.95), st.floats(0.01, 0.5)),
+                         min_size=2, max_size=7),
+        budget_share=st.floats(0.0, 1.0),
+        horizon=st.integers(4, 600),  # two batches at least, so no error is NaN
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_slot_on_random_fleets(self, triples, budget_share, horizon, seed):
+        subsystems = tuple(SubsystemParams(*t) for t in triples)
+        budget = min(int(budget_share * len(subsystems)), len(subsystems) - 1)
+        fleet = FleetConfig(subsystems, budget)
+        expected = per_slot_runs(fleet, horizon, [seed, seed + 1])
+        assert simulate_multi_batch(fleet, WhittleJam(), horizon, [seed, seed + 1]) == expected
+
+    @pytest.mark.parametrize("name, most_steps, most_blocks", [
+        ("criterion9", 0.02, 1.0), ("one_class", 1.0, 0.05)])
+    def test_work_counts(self, monkeypatch, name, most_steps, most_blocks):
+        # Where the jam set holds, blocks replace ranked steps; where it changes
+        # nearly every slot, the backoff keeps failed blocks rare.
+        real, work = sim_mod._index_masks, []
+
+        def fill(*args):
+            work.append(real(*args))
+            return work[-1]
+
+        monkeypatch.setattr(sim_mod, "_index_masks", fill)
+        horizon = 10_000
+        fleet = FleetConfig.from_classes(SPECULATION_FLEETS[name], 40, 20)
+        simulate_multi_batch(fleet, WhittleJam(), horizon, list(range(10)))
+        steps, blocks = np.sum(work, axis=0)
+        assert len(work) == 3
+        assert steps <= most_steps * horizon
+        assert blocks <= most_blocks * horizon

@@ -394,6 +394,34 @@ class TestCliCommands:
             f"error: horizon must be at most 10000000, got {huge}"] * 3
         assert not (tmp_path / "trace.csv").exists()
 
+    def test_seeds_must_be_distinct_and_non_negative(self, tmp_path, monkeypatch, capsys):
+        # A repeated seed repeats its run, so --seeds 1,1 would print a
+        # standard error of exactly 0; each refusal comes before any run.
+        def simulate(*args):
+            pytest.fail("simulated with a refused seed")
+
+        monkeypatch.setattr(cli_mod, "simulate_multi_batch", simulate)
+        monkeypatch.setattr(cli_mod, "simulate_single", simulate)
+        monkeypatch.setattr(cli_mod, "single_trace", simulate)
+        fleet = ("multi-sim", "--classes", "0.2,0.2,0.4,1", "--n-list", "2", "--horizon", "10")
+        assert run_cli(*fleet, "--seeds", "1,1") == 2
+        assert run_cli(*fleet, "--seeds", "3,2,3,0,2") == 2
+        assert run_cli(*fleet, "--seeds", "4,-1") == 2
+        assert run_cli("sim", "--params", "0.9,0.9,0.1", "--horizon", "10", "--seed", "-1") == 2
+        assert run_cli("sweep-lambda", "--params", "0.9,0.9,0.1", "--horizon", "10",
+                       "--seed", "-1") == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": "0.9,0.9,0.1", "horizon": 10, "seed": -2}))
+        assert run_cli("sim", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --seeds: expected distinct seeds, got [1] more than once",
+            "error: --seeds: expected distinct seeds, got [2, 3] more than once",
+            "error: --seeds: expected a non-negative integer, got -1",
+            "error: --seed: expected a non-negative integer, got -1",
+            "error: --seed: expected a non-negative integer, got -1",
+            "error: --seed: expected a non-negative integer, got -2",
+        ]
+
     def test_lambda_grid_is_one_array(self):
         # 10^6 Python floats in a list cost 32 B each with their pointers;
         # the grid and its one temporary cost 16.

@@ -17,6 +17,8 @@ from aoii_jam.whittle import (
     IndexStructureError,
     SubsystemState,
     indexability_check,
+    jam_mask,
+    rank_keys,
     select_jam_set,
     whittle_index_iterative,
     whittle_table_closed,
@@ -235,9 +237,21 @@ class TestSelectJamSet:
         budget = data.draw(st.integers(0, size))
         ranked = sorted(
             fleet,
-            key=lambda s: (-lambda_seq(s.params, s.age), s.subsystem_id),
+            key=lambda s: (-whittle_table_closed(s.params, 40)[s.age], s.subsystem_id),
         )
         assert select_jam_set(fleet, budget) == {s.subsystem_id for s in ranked[:budget]}
+
+    def test_ranks_by_the_array_index(self):
+        # At age 0 of (0.2, 0.3, 0.1) the scalar index lies one ulp above the
+        # array value, and (0.2, q, 0.1) at age 1 has exactly that array value.
+        # Read as arrays the two tie and the lower id wins, as in the fleet
+        # simulator's rank_keys/jam_mask route; read as scalars channel 1 wins.
+        low = SubsystemParams(0.2, 0.17105951007381248, 0.1)
+        high = SubsystemParams(0.2, 0.3, 0.1)
+        assert lambda_seq(high, 0) > whittle_table_closed(high, 0)[0] == whittle_table_closed(low, 1)[1]
+        assert select_jam_set([SubsystemState(0, low, 1), SubsystemState(1, high, 0)], 1) == {0}
+        keys = rank_keys(np.array([whittle_table_closed(p, 1) for p in (low, high)]), 2)
+        assert jam_mask(keys[[0, 1], [1, 0]] + np.arange(2), 1).tolist() == [True, False]
 
 
 class TestFleetConfig:
