@@ -472,7 +472,7 @@ def cmd_sim(args, opts) -> int:
     table = {"lambda" if name == "lam" else name: [getattr(stats, name)] for name in fields}
     _emit(args.out, config, table, args.format)
     if args.trace is not None:
-        trace = {"slot": trace["slot"], "subsystem_id": np.broadcast_to(0, horizon), **trace}
+        trace = {"slot": np.arange(horizon), "subsystem_id": np.broadcast_to(0, horizon), **trace}
         _emit(args.trace, config, trace, "csv")
     return 0
 

@@ -39,6 +39,8 @@ __all__ = [
     "brute_force_threshold",
 ]
 
+MAX_ITERATIONS = 200_000  # sweeps of either solver before it raises ``ConvergenceError``
+
 
 class ConvergenceError(RuntimeError):
     """Iteration did not reach its tolerance; carries the last residual."""
@@ -59,20 +61,16 @@ class OracleConfig:
     state_cap: largest age kept in the truncated chain (ages 0..state_cap).
     tolerance: span-seminorm stopping threshold for value iteration, also
         the L1 stopping threshold for power iteration.
-    max_iterations: hard cap before declaring non-convergence.
     """
 
     state_cap: int = 400
     tolerance: float = 1e-9
-    max_iterations: int = 200_000
 
     def __post_init__(self):
         if self.state_cap < 10:
             raise ValueError("state_cap must be >= 10")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 def recommended_state_cap(params: SubsystemParams, n_hint: int = 0) -> int:
@@ -135,7 +133,7 @@ def relative_value_iteration(
         return passive, s - lam + fail_active * shifted + pj * values[0]
 
     span = math.inf
-    for iteration in range(1, cfg.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         updated = np.maximum(*actions(values))
         diff = updated - values
         hi = float(diff.max())
@@ -151,7 +149,7 @@ def relative_value_iteration(
                 iterations=iteration,
             )
     raise ConvergenceError(
-        f"value iteration did not converge in {cfg.max_iterations} sweeps", span
+        f"value iteration did not converge in {MAX_ITERATIONS} sweeps", span
     )
 
 
@@ -198,7 +196,7 @@ def stationary_pmf_numeric(
     sigma = _threshold_kernel_sigma(params, n, cap)
     fail = 1.0 - sigma
     x = np.full(cap + 1, 1.0 / (cap + 1))
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         nxt = np.empty_like(x)
         nxt[0] = float(sigma @ x)
         nxt[1:] = fail[:-1] * x[:-1]

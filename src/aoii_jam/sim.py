@@ -10,9 +10,10 @@ updated. Every run is a pure function of (configuration, seed): each
 subsystem draws from its own stream derived from the master seed, and
 randomized policies draw from a separate policy stream.
 
-Both simulators resolve chunks of slots: first the deliveries, then, in one
-kernel, everything else. A single-source run and the fleet's random baseline
-draw a whole chunk's jams and deliveries with array operations. The fleet's
+A single-source run is a one-channel fleet lane: both simulators draw and
+resolve chunks of slots alike, first the deliveries, then, in one kernel,
+everything else. A single-source run and the fleet's random baseline decide
+a whole chunk's jams and deliveries with array operations. The fleet's
 index policy decides its jams from the ages, so it ranks the channels one
 slot at a time only where its jam set changes: after each ranked step it
 speculates that the set holds for a block of slots, checks every slot of
@@ -162,26 +163,26 @@ def _add_chunk(totals, start, slots, eaoii, aoii, jammed) -> None:
         batch_sums[k, batch[inside]] += pieces[inside].sum(axis=1)
 
 
-def _threshold_deliveries(u: np.ndarray, p: float, p_jam: float, n: int, last: int) -> np.ndarray:
+def _threshold_deliveries(maybe: np.ndarray, sure: np.ndarray, n: int, last: int) -> np.ndarray:
     """Deliveries of one chunk under threshold ``n``; at the horizon or above it never binds.
 
-    ``u`` holds the chunk's delivery uniforms and ``last`` (negative) the last
-    delivery before the chunk, in chunk-local slots. A slot is jammed exactly
-    when nothing was delivered in the ``n`` slots before it, so a slot with
-    ``u < p(1-q)`` is always delivered, one with ``u >= p`` never, and one in
-    between iff a delivery lies at most ``n`` slots before it. Split the
-    ``u < p`` slots, preceded by ``last``, into runs wherever two consecutive
-    ones lie more than ``n`` apart: within a run every slot from the first
-    sure delivery onward is delivered, and in the run that contains ``last``
-    every slot is.
+    ``maybe`` and ``sure`` hold the chunk's deliveries if not jammed and if
+    jammed (``_draw_lane``), and ``last`` (negative) the last delivery before
+    the chunk, in chunk-local slots. A slot is jammed exactly when nothing
+    was delivered in the ``n`` slots before it, so a ``sure`` slot is always
+    delivered, one that is not ``maybe`` never, and one in between iff a
+    delivery lies at most ``n`` slots before it. Split the ``maybe`` slots,
+    preceded by ``last``, into runs wherever two consecutive ones lie more
+    than ``n`` apart: within a run every slot from the first sure delivery
+    onward is delivered, and in the run that contains ``last`` every slot is.
     """
-    candidates = np.flatnonzero(u < p)
+    candidates = np.flatnonzero(maybe)
     index = np.arange(1, len(candidates) + 1, dtype=np.int32)  # ``last`` is index 0
     run_start = index * (np.diff(candidates, prepend=last) > n)
-    last_sure = index * (u[candidates] < p_jam)
+    last_sure = index * sure[candidates]
     for marks in (run_start, last_sure):
         np.maximum.accumulate(marks, out=marks)
-    delivered = np.zeros(len(u), dtype=bool)
+    delivered = np.zeros(len(maybe), dtype=bool)
     delivered[candidates] = last_sure >= run_start
     return delivered
 
@@ -222,6 +223,34 @@ def _start_carry(channels: int) -> tuple[np.ndarray, ...]:
             np.zeros(channels, dtype=np.int32))
 
 
+def _lane(seed: int, subsystems) -> tuple[list, np.random.Generator, np.ndarray]:
+    """A lane's channel streams and policy stream, the children of ``SeedSequence(seed)`` in
+    that order, and per channel (r, p(1-q), p) as (channels, 1) columns."""
+    *streams, policy = map(np.random.default_rng,
+                           np.random.SeedSequence(seed).spawn(len(subsystems) + 1))
+    probs = np.array([(s.r, delivery_probability(s, True), s.p) for s in subsystems]).T
+    return streams, policy, probs[:, :, None]
+
+
+def _draw_lane(lane, out) -> None:
+    """Draw one chunk of a ``_lane`` into ``out``: its (slots, channels) flips, ``sure`` and ``maybe``.
+
+    Each channel's stream yields the chunk's flip uniforms, then its delivery
+    uniforms. The source flips below r; a slot delivers below p(1-q) if jammed
+    (``sure``) and below p if not (``maybe``). So a jam decision delivers
+    ``maybe ^ (jammed & (maybe ^ sure))``: ``np.where(jammed, sure, maybe)``
+    in bool ops, which run 5x faster.
+    """
+    streams, _, (r, p_jam, p) = lane
+    flips, sure, maybe = out
+    u = np.empty((len(streams), len(flips)))
+    for bits, prob in ((flips, r), (sure, p_jam)):
+        for rng, row in zip(streams, u):
+            rng.random(out=row)
+        np.less(u, prob, out=bits.T)
+    np.less(u, p, out=maybe.T)
+
+
 def single_trace(
     params: SubsystemParams, policy: PolicySpec, horizon: int, seed: int
 ) -> dict[str, np.ndarray]:
@@ -229,43 +258,33 @@ def single_trace(
 
     Returns arrays over slots 0..horizon-1: the age and true AoII at
     decision time, the committed jam decision, and whether that slot's
-    packet was delivered, resolved ``_CHUNK`` slots at a time by ``_resolve``.
+    packet was delivered. It draws and resolves ``_CHUNK`` slots at a time
+    as a one-channel fleet lane, holding only per-chunk scratch beyond them.
     """
     _check_run(horizon)
     if not isinstance(policy, (ThresholdPolicy, RandomJam)):
         raise ValueError(f"a single-source run takes ThresholdPolicy or RandomJam, not {policy!r}")
 
-    sub_seq, pol_seq = np.random.SeedSequence(seed).spawn(2)
-    rng = np.random.default_rng(sub_seq)
-    u_flip = rng.random(horizon)
-    u_deliver = rng.random(horizon)
+    lane = _lane(seed, (params,))
     random_mode = isinstance(policy, RandomJam)
-    if random_mode:
-        u_policy = np.random.default_rng(pol_seq).random(horizon)
     # No age reaches the horizon, so a threshold there never binds.
     n = min(int(policy.threshold), horizon) if not random_mode and policy.is_finite else horizon
 
-    p_jam = delivery_probability(params, True)
-    trace = {
-        "slot": np.arange(horizon, dtype=np.int64),
-        "age_index": np.empty(horizon, dtype=np.int64),
-        "true_aoii": np.empty(horizon, dtype=np.int64),
-        "jammed": np.empty(horizon, dtype=bool),
-        "delivered": np.empty(horizon, dtype=bool),
-    }
+    trace = {name: np.empty(horizon, dtype=dtype) for name, dtype in (
+        ("age_index", np.int64), ("true_aoii", np.int64), ("jammed", bool), ("delivered", bool))}
     carry = _start_carry(1)
     for start in range(0, horizon, _CHUNK):
         stop = min(start + _CHUNK, horizon)
-        u = u_deliver[start:stop]
+        flips, sure, maybe = draws = np.empty((3, stop - start, 1), dtype=bool)
+        _draw_lane(lane, draws)
         jammed, delivered = trace["jammed"][start:stop], trace["delivered"][start:stop]
         if random_mode:
-            np.less(u_policy[start:stop], policy.jam_prob, out=jammed)
-            np.less(u, np.where(jammed, p_jam, params.p), out=delivered)
+            np.less(lane[1].random(stop - start), policy.jam_prob, out=jammed)
+            delivered[:] = maybe[:, 0] ^ (jammed & (maybe ^ sure)[:, 0])
         else:
             last = (int(carry[0][0]) >> 1) - start
-            delivered[:] = _threshold_deliveries(u, params.p, p_jam, n, last)
+            delivered[:] = _threshold_deliveries(maybe[:, 0], sure[:, 0], n, last)
         age = trace["age_index"][start:stop]
-        flips = u_flip[start:stop, None] < params.r
         carry = _resolve(delivered[:, None], flips, start, carry,
                          age[:, None], trace["true_aoii"][start:stop, None])
         if not random_mode:
@@ -422,24 +441,19 @@ def simulate_multi_batch(
     if not isinstance(policy, (WhittleJam, RandomMultiJam)):
         raise ValueError("single-source policy kind rejected for a fleet run")
     _check_run(horizon, fleet.size)
-    n_sub, budget, lanes = fleet.size, fleet.budget, len(seeds)
+    n_sub, budget = fleet.size, fleet.budget
     looped = isinstance(policy, WhittleJam) and budget > 0
 
     classes = list(dict.fromkeys(fleet.subsystems))
     of_class = np.array([classes.index(params) for params in fleet.subsystems])
     col = np.arange(n_sub)
-    p_vec, r_vec, pj_vec = np.array(
-        [(s.p, s.r, delivery_probability(s, True)) for s in fleet.subsystems]).T[:, :, None]
-
-    children = [np.random.SeedSequence(seed).spawn(n_sub + 1) for seed in seeds]
-    sub_rngs = [[np.random.default_rng(c) for c in lane[:n_sub]] for lane in children]
-    pol_rngs = [np.random.default_rng(lane[n_sub]) for lane in children]
+    lanes = [_lane(seed, fleet.subsystems) for seed in seeds]
     carries = [_start_carry(n_sub) for _ in seeds]
     totals = [_new_totals(n_sub, horizon) for _ in seeds]
     width = 0  # ages covered by the per-class tables
     # Per (slot, seed, channel) of every chunk: the source flips, the deliveries
     # if jammed (sure) and if not (maybe), and the jams, which stay False at budget 0.
-    draws = np.zeros((4, min(_CHUNK, horizon), lanes, n_sub), dtype=bool)
+    draws = np.zeros((4, min(_CHUNK, horizon), len(seeds), n_sub), dtype=bool)
 
     for start in range(0, horizon, _CHUNK):
         chunk = min(_CHUNK, horizon - start)
@@ -452,23 +466,16 @@ def simulate_multi_batch(
             if looped:
                 tables = np.array([whittle_table_closed(c, width - 1) for c in classes])
                 flat_keys, base = rank_keys(tables, n_sub).ravel(), of_class * width
-        u = np.empty((n_sub, chunk))
         flips, sure, maybe, masks = draws[:, :chunk]
-        for s, lane_rngs in enumerate(sub_rngs):
-            for out, prob in ((flips, r_vec), (sure, pj_vec)):
-                for rng, row in zip(lane_rngs, u):
-                    rng.random(out=row)
-                np.less(u, prob, out=out[:, s].T)
-            np.less(u, p_vec, out=maybe[:, s].T)
-        # A slot delivers maybe ^ (jammed & toggle): np.where(jammed, sure, maybe)
-        # in bool ops, which run 5x faster on bools.
-        toggle = maybe ^ sure
+        for s, lane in enumerate(lanes):
+            _draw_lane(lane, draws[:3, :chunk, s])
+        toggle = maybe ^ sure  # a slot delivers maybe ^ (jammed & toggle)
         if looped:
             _index_masks(masks, maybe, toggle, base + start_ages, flat_keys, base, budget)
         elif budget:
             # The lowest uniform of each slot wins, ties to the lower channel;
             # random() returns multiples of 2**-53, so the keys are exact.
-            for s, rng in enumerate(pol_rngs):
+            for s, (_, rng, _) in enumerate(lanes):
                 masks[:, s] = jam_mask(
                     (rng.random((chunk, n_sub)) * 2.0**53).astype(np.int64) * n_sub + col, budget)
         # Jams per slot and seed in uint16, exact up to MAX_FLEET channels and
@@ -479,7 +486,7 @@ def simulate_multi_batch(
             raise RuntimeError(
                 f"slot {start + slot}: jammed {masks[slot, lane].sum()} channels, budget {budget}")
         age, aoii = np.empty((2, chunk, n_sub), dtype=np.int32)
-        for s in range(lanes):
+        for s in range(len(seeds)):
             delivered = maybe[:, s] ^ (masks[:, s] & toggle[:, s])
             carries[s] = _resolve(delivered, flips[:, s], start, carries[s], age, aoii)
             _add_chunk(totals[s], start, horizon, ladders[of_class, age], aoii, masks[:, s])

@@ -32,12 +32,8 @@ N_GRID = [0, 1, 2, 5, 10]
 
 def default_grid() -> list[core.SubsystemParams]:
     """72 parameter triples covering the valid ranges and their edges."""
-    grid = []
-    for p in (0.2, 0.4, 0.6, 0.8, 0.9, 1.0):
-        for q in (0.0, 0.3, 0.6, 0.9):
-            for r in (0.1, 0.3, 0.5):
-                grid.append(core.SubsystemParams(p=p, q=q, r=r))
-    return grid
+    return [core.SubsystemParams(p=p, q=q, r=r) for p in (0.2, 0.4, 0.6, 0.8, 0.9, 1.0)
+            for q in (0.0, 0.3, 0.6, 0.9) for r in (0.1, 0.3, 0.5)]
 
 
 def _witness(params, **extra):
@@ -254,9 +250,7 @@ def check_steady_reward_tie(grid) -> Iterator[tuple[float, dict]]:
     for params in grid:
         for n in N_GRID:
             lam = core.lambda_seq(params, n)
-            gap = abs(
-                core.steady_reward(params, n, lam) - core.steady_reward(params, n + 1, lam)
-            )
+            gap = abs(core.steady_reward(params, n, lam) - core.steady_reward(params, n + 1, lam))
             yield gap, _witness(params, n=n, lam=lam)
 
 
@@ -270,12 +264,8 @@ def check_exchange_sign_flip(grid) -> Iterator[tuple[float, dict]]:
                 continue  # p = 1 beyond the first step: both sides tie exactly
             tie = core.lambda_seq(params, n)
             eps = 1e-6 * max(1.0, tie)
-            below = core.steady_reward(params, n, tie - eps) - core.steady_reward(
-                params, n + 1, tie - eps
-            )
-            above = core.steady_reward(params, n, tie + eps) - core.steady_reward(
-                params, n + 1, tie + eps
-            )
+            below, above = (core.steady_reward(params, n, lam) - core.steady_reward(params, n + 1, lam)
+                            for lam in (tie - eps, tie + eps))
             if below < 0.0 or above >= 0.0:
                 yield math.inf, _witness(params, n=n, lam=tie)
 
@@ -359,10 +349,8 @@ def check_rvi_consistency(grid) -> Iterator[tuple[float, dict]]:
             lam = float(lam)
             expected = core.optimal_threshold(params, lam)
             hint = expected.threshold if expected.is_finite else 120
-            cfg = oracle.OracleConfig(
-                state_cap=oracle.recommended_state_cap(params, int(hint)),
-                tolerance=1e-10,
-            )
+            cfg = oracle.OracleConfig(state_cap=oracle.recommended_state_cap(params, int(hint)),
+                                      tolerance=1e-10)
             result = oracle.relative_value_iteration(params, lam, cfg)
             extracted = oracle.extract_threshold(result)
             if extracted != expected:

@@ -1,9 +1,10 @@
 """Reference implementations the fast code is checked against.
 
 A pure one-slot model that the simulator's fast loop is replayed against,
-the ``np.where`` forms of the simulator's two chunk kernels on int64, the
-fleet index policy's one ranked step per slot, and the per-cell table
-writer that the CLI's block writer must match byte for byte.
+with a lane's uniforms in the simulators' draw order, the ``np.where`` forms
+of the simulator's two chunk kernels on int64, the fleet index policy's one
+ranked step per slot, and the per-cell table writer that the CLI's block
+writer must match byte for byte.
 """
 
 from __future__ import annotations
@@ -74,13 +75,33 @@ def step_subsystem(
     return GroundTruthState(source, estimate, last_delivery, last_agreement, age)
 
 
-def threshold_deliveries_where(u, p, p_jam, n, last):
+def lane_uniforms(seed, channels, horizon, chunk):
+    """A lane's uniforms in the order the simulators draw them, and its policy generator.
+
+    ``SeedSequence(seed)`` spawns one stream per channel and a last one for
+    the policy. Chunk by chunk of ``chunk`` slots, each channel's stream
+    yields the chunk's flip uniforms, then its delivery uniforms. Returns the
+    flip and the delivery uniforms, each (horizon, channels), and the policy
+    generator, untouched.
+    """
+    *streams, policy = map(np.random.default_rng,
+                           np.random.SeedSequence(seed).spawn(channels + 1))
+    flip, deliver = np.empty((2, horizon, channels))
+    for start in range(0, horizon, chunk):
+        stop = min(start + chunk, horizon)
+        for channel, rng in enumerate(streams):
+            flip[start:stop, channel] = rng.random(stop - start)
+            deliver[start:stop, channel] = rng.random(stop - start)
+    return flip, deliver, policy
+
+
+def threshold_deliveries_where(maybe, sure, n, last):
     """``sim._threshold_deliveries`` with int64 run indices picked by ``np.where``."""
-    candidates = np.flatnonzero(u < p)
+    candidates = np.flatnonzero(maybe)
     index = np.arange(1, len(candidates) + 1)
     run_start = np.maximum.accumulate(np.where(np.diff(candidates, prepend=last) > n, index, 0))
-    last_sure = np.maximum.accumulate(np.where(u[candidates] < p_jam, index, 0))
-    delivered = np.zeros(len(u), dtype=bool)
+    last_sure = np.maximum.accumulate(np.where(sure[candidates], index, 0))
+    delivered = np.zeros(len(maybe), dtype=bool)
     delivered[candidates] = last_sure >= run_start
     return delivered
 

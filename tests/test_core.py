@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoii_jam.core import (
@@ -56,6 +58,28 @@ class TestParams:
     def test_edges_accepted(self):
         SubsystemParams(p=1.0, q=0.0, r=0.5)
         SubsystemParams(p=0.01, q=0.99, r=0.01)
+        SubsystemParams(p=0.5, q=0.5, r=1e-300)
+
+    @pytest.mark.parametrize("p,q,r", [(0.5, 0.5, 5e-324), (1e-200, 0.5, 1e-200)])
+    def test_underflowing_closed_forms_rejected(self, p, q, r):
+        with pytest.raises(ValueError, match="the closed forms are not finite"):
+            SubsystemParams(p=p, q=q, r=r)
+
+    tiny = st.one_of(st.floats(5e-324, 1e-290), st.floats(1e-290, 1e-12), st.floats(1e-12, 0.5))
+
+    @settings(max_examples=400, deadline=None)
+    @given(p=st.one_of(tiny, st.floats(0.5, 1.0)), q=st.floats(0.0, 0.99), r=tiny)
+    @example(p=0.5, q=0.5, r=5e-324)
+    @example(p=1e-200, q=0.5, r=1e-200)
+    @example(p=5e-324, q=0.0, r=5e-324)
+    def test_accepted_triples_have_finite_closed_forms(self, p, q, r):
+        try:
+            params = SubsystemParams(p=p, q=q, r=r)
+        except ValueError as exc:
+            assert "the closed forms are not finite" in str(exc)
+            return
+        for value in (lambda_limit(params), lambda_seq(params, 0), 1 / (2 * r)):
+            assert math.isfinite(value), (params, value)
 
 
 class TestThresholdPolicy:

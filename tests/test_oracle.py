@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aoii_jam.oracle as oracle_mod
 from aoii_jam.core import (
     INFINITE,
     SubsystemParams,
@@ -45,8 +46,6 @@ class TestConfig:
             OracleConfig(state_cap=5)
         with pytest.raises(ValueError):
             OracleConfig(tolerance=0.0)
-        with pytest.raises(ValueError):
-            OracleConfig(max_iterations=0)
 
     def test_recommended_cap_scales_with_reset_rate(self):
         assert recommended_state_cap(REF) == pytest.approx(60 / 0.09, abs=1)
@@ -88,10 +87,13 @@ class TestValueIteration:
         gap = -lam + REF.p * REF.q * (nxt - v[0])
         assert np.all(np.diff(gap) >= -1e-8)
 
-    def test_non_convergence_raises_with_residual(self):
-        with pytest.raises(ConvergenceError) as excinfo:
-            relative_value_iteration(REF, 1.0, OracleConfig(state_cap=100, max_iterations=3))
+    def test_non_convergence_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(oracle_mod, "MAX_ITERATIONS", 3)
+        with pytest.raises(ConvergenceError, match="did not converge in 3 sweeps") as excinfo:
+            relative_value_iteration(REF, 1.0, OracleConfig(state_cap=100))
         assert excinfo.value.residual > 0
+        with pytest.raises(ConvergenceError, match="power iteration did not converge"):
+            stationary_pmf_numeric(REF, 2, OracleConfig(state_cap=100))
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):

@@ -31,6 +31,7 @@ from reference import (
     GroundTruthState,
     index_masks_per_slot,
     initial_state,
+    lane_uniforms,
     resolve_where,
     step_subsystem,
     threshold_deliveries_where,
@@ -183,19 +184,18 @@ class TestSingleSource:
     @example(params=REF, policy=ThresholdPolicy(2), horizon=9_000, chunk=None, seed=77)
     @example(params=REF, policy=RandomJam(0.5), horizon=9_000, chunk=None, seed=78)
     def test_trace_matches_step_primitive(self, params, policy, horizon, chunk, seed):
-        # Replay the run's uniforms through the pure one-slot primitive and
-        # require every array of the chunked run to agree slot for slot,
-        # also when chunks of a few slots make every carry visible.
+        # Replay the run's uniforms, drawn chunk by chunk as a one-channel
+        # lane, through the pure one-slot primitive and require every array of
+        # the chunked run to agree slot for slot, also when chunks of a few
+        # slots make every carry visible.
         with pytest.MonkeyPatch.context() as patch:
             if chunk is not None:
                 patch.setattr(sim_mod, "_CHUNK", chunk)
             trace = single_trace(params, policy, horizon, seed)
-        sub_seq, pol_seq = np.random.SeedSequence(seed).spawn(2)
-        rng = np.random.default_rng(sub_seq)
-        u_flip = rng.random(horizon)
-        u_deliver = rng.random(horizon)
+        flip, deliver, policy_rng = lane_uniforms(seed, 1, horizon, chunk or sim_mod._CHUNK)
+        u_flip, u_deliver = flip[:, 0], deliver[:, 0]
         if isinstance(policy, RandomJam):
-            jams = np.random.default_rng(pol_seq).random(horizon) < policy.jam_prob
+            jams = policy_rng.random(horizon) < policy.jam_prob
         state = initial_state()
         ages, aoiis, jammed, delivered = [], [], [], []
         for t in range(horizon):
@@ -209,7 +209,6 @@ class TestSingleSource:
             state = step_subsystem(state, params, jam, (u_flip[t], u_deliver[t]))
             delivered.append(state.age_index == 0)
         expected = {
-            "slot": np.arange(horizon, dtype=np.int64),
             "age_index": np.array(ages, dtype=np.int64),
             "true_aoii": np.array(aoiis, dtype=np.int64),
             "jammed": np.array(jammed, dtype=bool),
@@ -221,12 +220,11 @@ class TestSingleSource:
             mismatch = np.flatnonzero(trace[name] != values)
             assert mismatch.size == 0, (name, mismatch[:5])
 
-    @pytest.mark.parametrize("policy, draws", [
-        (ThresholdPolicy(2), 2), (ThresholdPolicy(INFINITE), 2), (RandomJam(0.5), 3)],
-        ids=["threshold", "never", "random"])
-    def test_trace_memory_bounded_by_its_arrays(self, policy, draws):
-        # Beyond the returned arrays and the uniforms drawn up front, a run
-        # may hold only per-chunk temporaries: no horizon-length scratch.
+    @pytest.mark.parametrize("policy", [ThresholdPolicy(2), ThresholdPolicy(INFINITE), RandomJam(0.5)],
+                             ids=["threshold", "never", "random"])
+    def test_trace_memory_bounded_by_its_arrays(self, policy):
+        # Beyond the returned arrays a run may hold only per-chunk draws and
+        # temporaries: no horizon-length uniforms or scratch.
         horizon = 200_000
         tracemalloc.start()
         try:
@@ -235,13 +233,13 @@ class TestSingleSource:
         finally:
             tracemalloc.stop()
         returned = sum(values.nbytes for values in trace.values())
-        assert peak <= returned + draws * 8 * horizon + 2_000_000
+        assert peak <= returned + 2_000_000
 
     def test_horizon_cap(self, monkeypatch):
         with pytest.raises(ValueError, match="horizon must be at most 10000000"):
             single_trace(REF, ThresholdPolicy(2), sim_mod.MAX_HORIZON + 1, seed=0)
         monkeypatch.setattr(sim_mod, "MAX_HORIZON", 50)
-        assert len(single_trace(REF, ThresholdPolicy(2), 50, seed=0)["slot"]) == 50
+        assert len(single_trace(REF, ThresholdPolicy(2), 50, seed=0)["age_index"]) == 50
         with pytest.raises(ValueError, match="horizon must be at most 50, got 51"):
             simulate_single(REF, RandomJam(0.5), 0.0, 51, seed=0)
 
@@ -384,9 +382,9 @@ class TestChunkKernels:
     )
     def test_threshold_deliveries_match_where_form(self, length, p, jam_factor, n, last, seed):
         u = np.random.default_rng(seed).random(length)
-        p_jam = p * jam_factor
-        assert np.array_equal(sim_mod._threshold_deliveries(u, p, p_jam, n, last),
-                              threshold_deliveries_where(u, p, p_jam, n, last))
+        maybe, sure = u < p, u < p * jam_factor
+        assert np.array_equal(sim_mod._threshold_deliveries(maybe, sure, n, last),
+                              threshold_deliveries_where(maybe, sure, n, last))
 
 
 class TestMultiSource:
@@ -482,19 +480,46 @@ class TestMultiSource:
     @given(
         params=st.builds(SubsystemParams, p=st.floats(0.05, 1.0), q=st.floats(0.0, 0.95),
                          r=st.floats(0.02, 0.5)),
-        horizon=st.integers(1, 4096),
+        # (_CHUNK, horizon): the default chunk and up to three chunks and a
+        # slot, or chunks of a few slots.
+        run=st.one_of(st.tuples(st.none(), st.integers(1, 3 * 4096 + 1)),
+                      st.tuples(st.integers(1, 9), st.integers(1, 300))),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_fleet_of_one_is_a_single_source(self, params, horizon, seed):
-        # Up to one draw chunk (4096 slots) a lone channel sees the same
-        # uniforms as a single-source run, and both summaries reduce that
-        # one chunk the same way: every average and error is bitwise equal.
-        fleet = simulate_multi_batch(FleetConfig((params,), 0), WhittleJam(), horizon, [seed])[0]
-        single = simulate_single(params, ThresholdPolicy(INFINITE), 0.0, horizon, seed)
-        for name in ("avg_reward", "avg_eaoii", "avg_true_aoii", "avg_aat",
-                     "se_reward", "se_eaoii", "se_true_aoii", "se_aat"):
+    @example(params=REF, run=(None, 10_007), seed=3)
+    def test_fleet_of_one_is_a_single_source(self, params, run, seed):
+        # A lone unjammed channel is a single-source never-jam run at every
+        # horizon: both draw it as one lane, chunk by chunk, so its ages and
+        # true AoII agree slot for slot, and so do the averages and errors
+        # built from integer sums. The single-source summary adds its EAoII
+        # as one chunk and the fleet one per _CHUNK slots, so the EAoII
+        # fields agree up to summation order.
+        chunk, horizon = run
+        ages, aoiis = [], []
+        real_resolve = sim_mod._resolve
+
+        def resolve(delivered, flips, start, carry, age, aoii):
+            carry = real_resolve(delivered, flips, start, carry, age, aoii)
+            ages.append(age[:, 0].copy())
+            aoiis.append(aoii[:, 0].copy())
+            return carry
+
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(sim_mod, "_CHUNK", chunk)
+            trace = single_trace(params, ThresholdPolicy(INFINITE), horizon, seed)
+            patch.setattr(sim_mod, "_resolve", resolve)
+            fleet = simulate_multi_batch(FleetConfig((params,), 0), WhittleJam(), horizon, [seed])[0]
+        assert np.array_equal(np.concatenate(ages), trace["age_index"])
+        assert np.array_equal(np.concatenate(aoiis), trace["true_aoii"])
+        single = summarize_trace(params, trace, 0.0, seed)
+        for name in ("avg_true_aoii", "avg_aat", "se_true_aoii", "se_aat"):
             a, b = getattr(fleet, name), getattr(single, name)
             assert (math.isnan(a) and math.isnan(b)) or a == b, (name, a, b)
+        for name in ("avg_reward", "avg_eaoii", "se_reward", "se_eaoii"):
+            a, b = getattr(fleet, name), getattr(single, name)
+            assert (math.isnan(a) and math.isnan(b)) or a == pytest.approx(b, rel=1e-12, abs=0.0), (
+                name, a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -382,6 +382,20 @@ class TestCliCommands:
         assert all(line.startswith("error: ") for line in errors)
         assert errors[-1].startswith("error: --lambda-step: ")
 
+    def test_params_too_small_for_the_closed_forms(self, capsys):
+        # lambda_limit divides by r (1 - (1-r)(1-p)): 0.5 * 5e-324 rounds to
+        # 0, and at p = r = 1e-200 the bracket does. Each triple is refused
+        # when it is parsed, the fleet class too, with one error line.
+        for triple in ("0.5,0.5,5e-324", "1e-200,0.5,1e-200"):
+            assert run_cli("whittle-table", "--params", triple, "--k-max", "2") == 2
+        assert run_cli("multi-sim", "--classes", "1e-200,0.5,1e-200,1", "--n-list", "2",
+                       "--horizon", "10") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --params: p=0.5, q=0.5, r=5e-324: the closed forms are not finite",
+            "error: --params: p=1e-200, q=0.5, r=1e-200: the closed forms are not finite",
+            "error: --classes: p=1e-200, q=0.5, r=1e-200: the closed forms are not finite",
+        ]
+
     def test_horizon_over_cap_exits_before_drawing(self, tmp_path, capsys):
         # 10^12 slots of uniforms would not fit in memory, so exit 2 with one
         # error line shows the horizon was refused before anything was drawn.
