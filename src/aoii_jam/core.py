@@ -62,7 +62,8 @@ class SubsystemParams:
     q = 1 is rejected: with certain jamming the age above a finite threshold
     can only grow, so no stationary regime exists. p = 0 is rejected for the
     same reason (the age never resets). So is a triple whose 1/(2r),
-    ``lambda_limit`` or ``lambda_seq(0)`` is not finite in floats.
+    ``lambda_limit`` or ``lambda_seq(0)`` is not finite in floats, or whose
+    1 - p rounds to 1, where the pairwise tie ratios divide by 1 - (1-p)^d = 0.
     """
 
     p: float
@@ -77,7 +78,8 @@ class SubsystemParams:
         if not 0.0 < self.r <= 0.5:
             raise ValueError(f"r must be in (0, 1/2], got {self.r}")
         try:  # a denominator such as r (1 - (1-r)(1-p)) can underflow to 0
-            finite = all(map(math.isfinite, (0.5 / self.r, lambda_limit(self), lambda_seq(self, 0))))
+            finite = 1.0 - self.p < 1.0 and all(
+                map(math.isfinite, (0.5 / self.r, lambda_limit(self), lambda_seq(self, 0))))
         except ZeroDivisionError:
             finite = False
         if not finite:

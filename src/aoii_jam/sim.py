@@ -18,9 +18,16 @@ index policy decides its jams from the ages, so it ranks the channels one
 slot at a time only where its jam set changes: after each ranked step it
 speculates that the set holds for a block of slots, checks every slot of
 the block in one array pass, and keeps the block up to the first slot where
-the set is no longer the one ranking would choose. Both simulators reduce
-their chunks into the same channel and batch sums, from which one function
-builds every run summary.
+the set is no longer the one ranking would choose. Where the classes' key
+ranges show that no later slot of the chunk can change the set, it keeps the
+rest of the chunk at once. Both simulators reduce their chunks into the same
+channel and batch sums, from which one function builds every run summary.
+
+The fleet stores each chunk channel by channel: its (slot, seed, channel)
+draws and jams and its (slot, channel) ages are transposed views of
+(seed, channel, slot) memory. Every kernel indexes them by slot first, as a
+single-source run's own buffers, but drawing, resolving and summing a
+channel's slots then runs along contiguous memory.
 """
 
 from __future__ import annotations
@@ -236,10 +243,14 @@ def _draw_lane(lane, out) -> None:
     """Draw one chunk of a ``_lane`` into ``out``: its (slots, channels) flips, ``sure`` and ``maybe``.
 
     Each channel's stream yields the chunk's flip uniforms, then its delivery
-    uniforms. The source flips below r; a slot delivers below p(1-q) if jammed
-    (``sure``) and below p if not (``maybe``). So a jam decision delivers
+    uniforms, into one row of a (channels, slots) block. The source flips
+    below r; a slot delivers below p(1-q) if jammed (``sure``) and below p
+    if not (``maybe``). So a jam decision delivers
     ``maybe ^ (jammed & (maybe ^ sure))``: ``np.where(jammed, sure, maybe)``
-    in bool ops, which run 5x faster.
+    in bool ops, which run 5x faster. The compares write the block's
+    transpose into ``out``, indexed slot first: where ``out`` views
+    channel-major memory, as the fleet's chunks do, they write contiguous
+    rows.
     """
     streams, _, (r, p_jam, p) = lane
     flips, sure, maybe = out
@@ -373,35 +384,58 @@ def _held_slots(held, maybe, toggle, lookup, flat_keys, base) -> tuple[int, np.n
     return kept, base + ages[kept]
 
 
-def _index_masks(masks, maybe, toggle, lookup, flat_keys, base, budget) -> tuple[int, int]:
+def _index_masks(masks, maybe, toggle, lookup, flat_keys, extremes, base, budget) -> tuple[int, int]:
     """Fill a chunk's (slot, seed, channel) jam masks under the index policy.
 
     A ranked step jams, in every seed, the ``budget`` channels with the
-    smallest keys at their current ages. Then the loop speculates that this
-    set holds for a block of slots and keeps the block up to its first slot
-    where it does not (``_held_slots``), so every mask is the one ranked
-    steps alone would give. The block starts at 1 slot and doubles after
-    each kept block, up to ``_MAX_BLOCK``; a partly kept block of
+    smallest keys at their current ages; a run of steps works on slot-major
+    copies of its rows of the channel-major draws. Then the loop speculates
+    that this set holds for a block of slots and keeps the block up to its
+    first slot where it does not (``_held_slots``), so every mask is the one
+    ranked steps alone would give. The block starts at 1 slot and doubles
+    after each kept block, up to ``_MAX_BLOCK``; a partly kept block of
     ``_MIN_KEPT`` slots or more sets it to that length. A block that keeps
     fewer makes the loop take 1, 2, 4, ... up to ``_MAX_BACKOFF`` ranked
     steps before it speculates again, so a fleet whose set changes almost
-    every slot costs little more than ranked steps alone. Returns the
-    number of ranked steps and of speculative blocks.
+    every slot costs little more than ranked steps alone.
+
+    Before each block, key bounds may settle the rest of the chunk.
+    ``extremes`` holds each class's running maximum and minimum key over
+    ages 0..a, placed as in ``flat_keys``. A channel of age a at slot j is
+    at most a + chunk - 1 - j slots old before the chunk ends, whatever is
+    delivered. If in every seed the largest running maximum inside the held
+    set at that reach is below the smallest running minimum outside it
+    (channel added to both), no later slot can rank another set, so the set
+    fills the rest of the chunk as one block. This is exact for any table,
+    monotone or not. No reach leaves its class's row: it is below the
+    chunk's oldest start age plus its length, which the tables cover
+    (``simulate_multi_batch``). Returns the number of ranked steps and of
+    blocks.
     """
     col, chunk = np.arange(masks.shape[-1]), len(masks)
+    highest, lowest = extremes
     steps = blocks = slot = 0
     length, backoff, wait = 1, 1, 1
     while True:
-        stop = min(slot + wait, chunk)
-        for j in range(slot, stop):
-            masks[j] = jam_mask(flat_keys[lookup] + col, budget)
+        rows = slice(slot, min(slot + wait, chunk))
+        step_maybe, step_toggle = np.ascontiguousarray(maybe[rows]), np.ascontiguousarray(toggle[rows])
+        step_masks = np.empty_like(step_maybe)
+        for j in range(len(step_masks)):
+            step_masks[j] = jam_mask(flat_keys[lookup] + col, budget)
             lookup += 1
-            np.copyto(lookup, base, where=maybe[j] ^ (masks[j] & toggle[j]))
-        steps, slot = steps + stop - slot, stop
+            np.copyto(lookup, base, where=step_maybe[j] ^ (step_masks[j] & step_toggle[j]))
+        masks[rows] = step_masks
+        steps, slot = steps + len(step_masks), rows.stop
         if slot == chunk:
             return steps, blocks
-        block = slice(slot, min(slot + length, chunk))
         held = masks[slot - 1]
+        reach = lookup + (chunk - 1 - slot)
+        inside = (highest[reach] + col).max(axis=1, where=held, initial=-1)
+        outside = (lowest[reach] + col).min(axis=1, where=~held, initial=np.iinfo(lowest.dtype).max)
+        if (inside < outside).all():
+            masks[slot:] = held
+            return steps, blocks + 1
+        block = slice(slot, min(slot + length, chunk))
         kept, lookup = _held_slots(held, maybe[block], toggle[block], lookup, flat_keys, base)
         masks[slot:slot + kept] = held
         blocks, slot = blocks + 1, slot + kept
@@ -427,14 +461,19 @@ def simulate_multi_batch(
     Each chunk fills one (slot, seed, channel) jam mask: the index policy
     works through the slots for all seeds at once, as its jams depend on the
     ages, ranking the channels only where its jam set may change and
-    checking the slots in between a block at a time (``_index_masks``, whose
-    masks equal one ranked step per slot bit for bit); the baseline picks a
-    seed's jam sets for the whole chunk in one call; at budget 0 the mask
-    stays empty. One check covers every seed;
-    then, per seed, the mask gives the deliveries, and ``_resolve`` and
-    ``_add_chunk`` do the rest. Both per-class tables, the index ranks and
-    the EAoII ladder, grow before any chunk that could outrun them, so each
-    channel is ranked and read at its true age.
+    checking the slots in between a block at a time, or the rest of the
+    chunk at once from per-class key bounds (``_index_masks``, whose masks
+    equal one ranked step per slot bit for bit); the baseline picks a seed's
+    jam sets for the whole chunk in one call; at budget 0 the mask stays
+    empty. One check covers every seed; then, per seed, the mask gives the
+    deliveries, and ``_resolve`` and ``_add_chunk`` do the rest. The chunk's
+    draws, jams, ages and true AoII are indexed slot first but stored
+    channel by channel, so each of those steps runs along a channel's
+    contiguous slots. Both per-class tables, the index ranks (with their
+    running extremes) and the EAoII ladder, grow before any chunk that could
+    outrun them: to at least the oldest start age plus the chunk, which no
+    age of the chunk reaches. So each channel is ranked and read at its true
+    age.
     """
     if not seeds:
         raise ValueError("at least one seed required")
@@ -451,9 +490,10 @@ def simulate_multi_batch(
     carries = [_start_carry(n_sub) for _ in seeds]
     totals = [_new_totals(n_sub, horizon) for _ in seeds]
     width = 0  # ages covered by the per-class tables
-    # Per (slot, seed, channel) of every chunk: the source flips, the deliveries
-    # if jammed (sure) and if not (maybe), and the jams, which stay False at budget 0.
-    draws = np.zeros((4, min(_CHUNK, horizon), len(seeds), n_sub), dtype=bool)
+    # Per (slot, seed, channel) of every chunk, stored channel-major: the source
+    # flips, the deliveries if jammed (sure) and if not (maybe), and the jams,
+    # which stay False at budget 0.
+    draws = np.zeros((4, len(seeds), n_sub, min(_CHUNK, horizon)), dtype=bool).transpose(0, 3, 1, 2)
 
     for start in range(0, horizon, _CHUNK):
         chunk = min(_CHUNK, horizon - start)
@@ -465,13 +505,15 @@ def simulate_multi_batch(
             ladders = np.array([eaoii_ladder(params, width) for params in classes])
             if looped:
                 tables = np.array([whittle_table_closed(c, width - 1) for c in classes])
-                flat_keys, base = rank_keys(tables, n_sub).ravel(), of_class * width
+                keys, base = rank_keys(tables, n_sub), of_class * width
+                flat_keys = keys.ravel()
+                extremes = tuple(f.accumulate(keys, axis=1).ravel() for f in (np.maximum, np.minimum))
         flips, sure, maybe, masks = draws[:, :chunk]
         for s, lane in enumerate(lanes):
             _draw_lane(lane, draws[:3, :chunk, s])
         toggle = maybe ^ sure  # a slot delivers maybe ^ (jammed & toggle)
         if looped:
-            _index_masks(masks, maybe, toggle, base + start_ages, flat_keys, base, budget)
+            _index_masks(masks, maybe, toggle, base + start_ages, flat_keys, extremes, base, budget)
         elif budget:
             # The lowest uniform of each slot wins, ties to the lower channel;
             # random() returns multiples of 2**-53, so the keys are exact.
@@ -485,7 +527,7 @@ def simulate_multi_batch(
             lane, slot = np.argwhere(bad.T)[0]
             raise RuntimeError(
                 f"slot {start + slot}: jammed {masks[slot, lane].sum()} channels, budget {budget}")
-        age, aoii = np.empty((2, chunk, n_sub), dtype=np.int32)
+        age, aoii = np.empty((2, n_sub, chunk), dtype=np.int32).transpose(0, 2, 1)
         for s in range(len(seeds)):
             delivered = maybe[:, s] ^ (masks[:, s] & toggle[:, s])
             carries[s] = _resolve(delivered, flips[:, s], start, carries[s], age, aoii)

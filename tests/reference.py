@@ -120,8 +120,12 @@ def resolve_where(delivered, flips, start, carry, age, aoii):
     return code[-1].copy(), source[-1].copy(), agreement[-1].copy()
 
 
-def index_masks_per_slot(masks, maybe, toggle, lookup, flat_keys, base, budget):
-    """``sim._index_masks`` as one ranked step per slot: rank, jam, then step every lookup."""
+def index_masks_per_slot(masks, maybe, toggle, lookup, flat_keys, extremes, base, budget):
+    """``sim._index_masks`` as one ranked step per slot: rank, jam, then step every lookup.
+
+    ``extremes``, the per-class key bounds that let ``_index_masks`` settle a
+    chunk at once, go unused: every slot is ranked.
+    """
     col = np.arange(masks.shape[-1])
     for j in range(len(masks)):
         masks[j] = jam_mask(flat_keys[lookup] + col, budget)

@@ -72,13 +72,15 @@ class TestParams:
     @example(p=0.5, q=0.5, r=5e-324)
     @example(p=1e-200, q=0.5, r=1e-200)
     @example(p=5e-324, q=0.0, r=5e-324)
+    @example(p=1e-17, q=0.5, r=0.1)  # 1 - p rounds to 1
     def test_accepted_triples_have_finite_closed_forms(self, p, q, r):
         try:
             params = SubsystemParams(p=p, q=q, r=r)
         except ValueError as exc:
             assert "the closed forms are not finite" in str(exc)
             return
-        for value in (lambda_limit(params), lambda_seq(params, 0), 1 / (2 * r)):
+        for value in (lambda_limit(params), lambda_seq(params, 0), 1 / (2 * r),
+                      intersection_lambda(params, 0, 1)):
             assert math.isfinite(value), (params, value)
 
 

@@ -396,6 +396,18 @@ class TestCliCommands:
             "error: --classes: p=1e-200, q=0.5, r=1e-200: the closed forms are not finite",
         ]
 
+    def test_params_whose_one_minus_p_rounds_to_one(self, capsys):
+        # 1 - 1e-17 is 1.0 in floats, so the pairwise tie ratios divide by 0:
+        # the triple is refused when it is parsed, in every command.
+        assert run_cli("whittle-table", "--params", "1e-17,0.5,0.1", "--k-max", "3",
+                       "--method", "iterative") == 2
+        assert run_cli("multi-sim", "--classes", "1e-17,0.5,0.1,1", "--n-list", "2",
+                       "--m-rule", "1", "--horizon", "100", "--seeds", "0") == 2
+        assert run_cli("sim", "--params", "1e-17,0.5,0.1", "--horizon", "100") == 2
+        message = "p=1e-17, q=0.5, r=0.1: the closed forms are not finite"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --params: {message}", f"error: --classes: {message}", f"error: --params: {message}"]
+
     def test_horizon_over_cap_exits_before_drawing(self, tmp_path, capsys):
         # 10^12 slots of uniforms would not fit in memory, so exit 2 with one
         # error line shows the horizon was refused before anything was drawn.
