@@ -133,12 +133,19 @@ def _check_cost(lam: float) -> None:
 
 
 def _natural(value, what: str):
-    """A non-negative int (numpy integers too) or integer array; anything else, bools too, raises."""
-    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iu"):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise ValueError(f"{what} must be an integer or an integer array, got {value!r}")
+    """A non-negative int (numpy integers too) or integer array; anything else, bools too, raises.
+
+    An integer comes back as a Python int, checked without numpy, whose
+    per-call cost would dominate a scalar closed form.
+    """
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        negative = np.any(value < 0)
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         value = int(value)
-    if np.any(value < 0):
+        negative = value < 0
+    else:
+        raise ValueError(f"{what} must be an integer or an integer array, got {value!r}")
+    if negative:
         raise ValueError(f"{what} must be >= 0, got {value}")
     return value
 

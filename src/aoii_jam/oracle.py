@@ -195,14 +195,14 @@ def stationary_pmf_numeric(
         raise ValueError(f"threshold {n} exceeds the state cap {cap}")
     sigma = _threshold_kernel_sigma(params, n, cap)
     fail = 1.0 - sigma
-    x = np.full(cap + 1, 1.0 / (cap + 1))
+    # Two buffers, swapped each step: the old iterate's takes the change.
+    x, nxt = np.full(cap + 1, 1.0 / (cap + 1)), np.empty(cap + 1)
     for _ in range(MAX_ITERATIONS):
-        nxt = np.empty_like(x)
         nxt[0] = float(sigma @ x)
-        nxt[1:] = fail[:-1] * x[:-1]
+        np.multiply(fail[:-1], x[:-1], out=nxt[1:])
         nxt[-1] += fail[-1] * x[-1]
-        change = float(np.abs(nxt - x).sum())
-        x = nxt
+        change = float(np.abs(np.subtract(nxt, x, out=x), out=x).sum())
+        x, nxt = nxt, x
         if change < cfg.tolerance:
             return x / x.sum()
     raise ConvergenceError("power iteration did not converge", change)

@@ -15,13 +15,10 @@ resolve chunks of slots alike, first the deliveries, then, in one kernel,
 everything else. A single-source run and the fleet's random baseline decide
 a whole chunk's jams and deliveries with array operations. The fleet's
 index policy decides its jams from the ages, so it ranks the channels one
-slot at a time only where its jam set changes: after each ranked step it
-speculates that the set holds for a block of slots, checks every slot of
-the block in one array pass, and keeps the block up to the first slot where
-the set is no longer the one ranking would choose. Where the classes' key
-ranges show that no later slot of the chunk can change the set, it keeps the
-rest of the chunk at once. Both simulators reduce their chunks into the same
-channel and batch sums, from which one function builds every run summary.
+slot at a time, until the classes' key ranges show that no later slot of the
+chunk can change its jam set; then it keeps that set for the rest of the
+chunk at once. Both simulators reduce their chunks into the same channel and
+batch sums, from which one function builds every run summary.
 
 The fleet stores each chunk channel by channel: its (slot, seed, channel)
 draws and jams and its (slot, channel) ages are transposed views of
@@ -53,10 +50,9 @@ MAX_HORIZON = 10_000_000
 # Largest fleet: the random baseline's keys int64(u * 2**53) * N + channel fit up to here.
 MAX_FLEET = 1024
 
-# The index policy's speculation (``_index_masks``): the longest block of slots
-# it checks in one array pass, the shortest kept prefix that counts as a
-# success, and the most ranked steps it takes between two failed blocks.
-_MAX_BLOCK, _MIN_KEPT, _MAX_BACKOFF = 64, 4, 256
+# The longest run of ranked steps between two key-bound tries (``_index_masks``):
+# it bounds the run's slot-major copies to 3 * _MAX_RUN * seeds * channels bytes.
+_MAX_RUN = 256
 
 
 @dataclass(frozen=True)
@@ -344,80 +340,30 @@ def simulate_single(
     return summarize_trace(params, single_trace(params, policy, horizon, seed), lam, seed)
 
 
-def _in_front(keys, held) -> np.ndarray:
-    """Per (slot, seed) of channel-major keys: are the keys of the set ``held`` below all others?"""
-    inside = keys.max(axis=0, where=held.T[:, None], initial=-1)
-    return inside < keys.min(axis=0, where=~held.T[:, None], initial=np.iinfo(keys.dtype).max)
-
-
-def _held_slots(held, maybe, toggle, lookup, flat_keys, base) -> tuple[int, np.ndarray]:
-    """How many of a block's slots keep the (seed, channel) jam set ``held``; the lookup after them.
-
-    ``maybe`` and ``toggle`` are the block's (slot, seed, channel) draws and
-    ``lookup`` its first slot's table positions, ``base`` plus the age. With
-    ``held`` jammed throughout, age minus slot stays put until a delivery at
-    block slot i sets it to ``-i - 1``, below every earlier value, so one
-    running minimum gives every slot's age (int32, as ``MAX_HORIZON`` bounds
-    the ages). A slot keeps the set when, in every seed, the largest key
-    inside it is below the smallest outside: the keys are unique, so that is
-    exactly ``jam_mask``'s choice. The keys are gathered channel-major, so
-    both reductions run across whole (slot, seed) rows. The first slot needs
-    no deliveries, so it is checked on its own first: where the set changes
-    almost every slot, most blocks end there.
-    """
-    size, (lanes, channels) = len(maybe), lookup.shape
-    col = np.arange(channels)
-    if not _in_front((flat_keys[lookup] + col).T[:, None], held).all():
-        return 0, lookup
-    slots = np.arange(size + 1, dtype=np.int32)[:, None, None]
-    ages = np.empty((size + 1, lanes, channels), dtype=np.int32)
-    ages[0] = lookup - base
-    np.subtract(ages[0], (maybe ^ (held & toggle)) * (ages[0] + slots[1:]), out=ages[1:])
-    np.minimum.accumulate(ages, axis=0, out=ages)
-    ages += slots
-    at = np.empty((channels, size, lanes), dtype=lookup.dtype)
-    np.add(base, ages[:-1], out=at.transpose(1, 2, 0))
-    keys = flat_keys[at]
-    keys += col[:, None, None]
-    holds = _in_front(keys, held).all(axis=1)
-    kept = size if holds.all() else int(holds.argmin())
-    return kept, base + ages[kept]
-
-
-def _index_masks(masks, maybe, toggle, lookup, flat_keys, extremes, base, budget) -> tuple[int, int]:
-    """Fill a chunk's (slot, seed, channel) jam masks under the index policy.
+def _index_masks(masks, maybe, toggle, lookup, flat_keys, extremes, base, budget) -> int:
+    """Fill a chunk's (slot, seed, channel) jam masks under the index policy; return its ranked steps.
 
     A ranked step jams, in every seed, the ``budget`` channels with the
-    smallest keys at their current ages; a run of steps works on slot-major
-    copies of its rows of the channel-major draws. Then the loop speculates
-    that this set holds for a block of slots and keeps the block up to its
-    first slot where it does not (``_held_slots``), so every mask is the one
-    ranked steps alone would give. The block starts at 1 slot and doubles
-    after each kept block, up to ``_MAX_BLOCK``; a partly kept block of
-    ``_MIN_KEPT`` slots or more sets it to that length. A block that keeps
-    fewer makes the loop take 1, 2, 4, ... up to ``_MAX_BACKOFF`` ranked
-    steps before it speculates again, so a fleet whose set changes almost
-    every slot costs little more than ranked steps alone.
-
-    Before each block, key bounds may settle the rest of the chunk.
-    ``extremes`` holds each class's running maximum and minimum key over
-    ages 0..a, placed as in ``flat_keys``. A channel of age a at slot j is
-    at most a + chunk - 1 - j slots old before the chunk ends, whatever is
-    delivered. If in every seed the largest running maximum inside the held
-    set at that reach is below the smallest running minimum outside it
-    (channel added to both), no later slot can rank another set, so the set
-    fills the rest of the chunk as one block. This is exact for any table,
-    monotone or not. No reach leaves its class's row: it is below the
+    smallest keys at their current ages. The loop ranks runs of 1, 2, 4, ...
+    slots, at most ``_MAX_RUN``, each on slot-major copies of its rows of the
+    channel-major draws, and after each run tries to settle the rest of the
+    chunk from key bounds. ``extremes`` holds each class's running maximum
+    and minimum key over ages 0..a, placed as in ``flat_keys``. A channel of
+    age a at slot j is at most a + chunk - 1 - j slots old before the chunk
+    ends, whatever is delivered. If in every seed the largest running
+    maximum inside the last ranked set at that reach is below the smallest
+    running minimum outside it (channel added to both), no later slot can
+    rank another set, so the set fills the rest of the chunk. This is exact
+    for any table, monotone or not, so every mask is the one a ranked step
+    per slot would give. No reach leaves its class's row: it is below the
     chunk's oldest start age plus its length, which the tables cover
-    (``simulate_multi_batch``). Returns the number of ranked steps and of
-    blocks.
+    (``simulate_multi_batch``).
     """
     col, chunk = np.arange(masks.shape[-1]), len(masks)
     highest, lowest = extremes
-    steps = blocks = slot = 0
-    length, backoff, wait = 1, 1, 1
+    slot, run = 0, 1
     while True:
-        rows = slice(slot, min(slot + wait, chunk))
+        rows = slice(slot, min(slot + run, chunk))
         step_maybe, step_toggle = np.ascontiguousarray(maybe[rows]), np.ascontiguousarray(toggle[rows])
         step_masks = np.empty_like(step_maybe)
         for j in range(len(step_masks)):
@@ -425,26 +371,16 @@ def _index_masks(masks, maybe, toggle, lookup, flat_keys, extremes, base, budget
             lookup += 1
             np.copyto(lookup, base, where=step_maybe[j] ^ (step_masks[j] & step_toggle[j]))
         masks[rows] = step_masks
-        steps, slot = steps + len(step_masks), rows.stop
+        slot, run = rows.stop, min(2 * run, _MAX_RUN)
         if slot == chunk:
-            return steps, blocks
+            return slot
         held = masks[slot - 1]
         reach = lookup + (chunk - 1 - slot)
         inside = (highest[reach] + col).max(axis=1, where=held, initial=-1)
         outside = (lowest[reach] + col).min(axis=1, where=~held, initial=np.iinfo(lowest.dtype).max)
         if (inside < outside).all():
             masks[slot:] = held
-            return steps, blocks + 1
-        block = slice(slot, min(slot + length, chunk))
-        kept, lookup = _held_slots(held, maybe[block], toggle[block], lookup, flat_keys, base)
-        masks[slot:slot + kept] = held
-        blocks, slot = blocks + 1, slot + kept
-        if slot == block.stop:
-            length, backoff, wait = min(2 * length, _MAX_BLOCK), 1, 0
-        elif kept >= _MIN_KEPT:
-            length, backoff, wait = kept, 1, 1
-        else:
-            backoff, wait = min(2 * backoff, _MAX_BACKOFF), backoff
+            return slot
 
 
 def simulate_multi_batch(
@@ -460,10 +396,9 @@ def simulate_multi_batch(
 
     Each chunk fills one (slot, seed, channel) jam mask: the index policy
     works through the slots for all seeds at once, as its jams depend on the
-    ages, ranking the channels only where its jam set may change and
-    checking the slots in between a block at a time, or the rest of the
-    chunk at once from per-class key bounds (``_index_masks``, whose masks
-    equal one ranked step per slot bit for bit); the baseline picks a seed's
+    ages, ranking the channels slot by slot until per-class key bounds
+    settle the rest of the chunk (``_index_masks``, whose masks equal one
+    ranked step per slot bit for bit); the baseline picks a seed's
     jam sets for the whole chunk in one call; at budget 0 the mask stays
     empty. One check covers every seed; then, per seed, the mask gives the
     deliveries, and ``_resolve`` and ``_add_chunk`` do the rest. The chunk's

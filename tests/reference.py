@@ -3,8 +3,9 @@
 A pure one-slot model that the simulator's fast loop is replayed against,
 with a lane's uniforms in the simulators' draw order, the ``np.where`` forms
 of the simulator's two chunk kernels on int64, the fleet index policy's one
-ranked step per slot, and the per-cell table writer that the CLI's block
-writer must match byte for byte.
+ranked step per slot, the power iteration with a fresh array per step, and
+the per-cell table writer that the CLI's block writer must match byte for
+byte.
 """
 
 from __future__ import annotations
@@ -124,13 +125,32 @@ def index_masks_per_slot(masks, maybe, toggle, lookup, flat_keys, extremes, base
     """``sim._index_masks`` as one ranked step per slot: rank, jam, then step every lookup.
 
     ``extremes``, the per-class key bounds that let ``_index_masks`` settle a
-    chunk at once, go unused: every slot is ranked.
+    chunk at once, go unused: every slot is ranked, and the count returned.
     """
     col = np.arange(masks.shape[-1])
     for j in range(len(masks)):
         masks[j] = jam_mask(flat_keys[lookup] + col, budget)
         lookup = np.where(maybe[j] ^ (masks[j] & toggle[j]), base, lookup + 1)
-    return len(masks), 0
+    return len(masks)
+
+
+def stationary_pmf_power_iteration(sigma, tolerance):
+    """``oracle.stationary_pmf_numeric``'s power iteration with a fresh array per step.
+
+    ``sigma`` is the per-age delivery probability on ages 0..cap; iterates
+    from uniform until the L1 change drops below ``tolerance``.
+    """
+    fail = 1.0 - sigma
+    x = np.full(len(sigma), 1.0 / len(sigma))
+    while True:
+        nxt = np.empty_like(x)
+        nxt[0] = float(sigma @ x)
+        nxt[1:] = fail[:-1] * x[:-1]
+        nxt[-1] += fail[-1] * x[-1]
+        change = float(np.abs(nxt - x).sum())
+        x = nxt
+        if change < tolerance:
+            return x / x.sum()
 
 
 def fmt_cell(value) -> str:

@@ -35,6 +35,7 @@ from aoii_jam.oracle import (
     stationary_pmf_numeric,
 )
 from aoii_jam.verify import default_grid
+from reference import stationary_pmf_power_iteration
 
 REF = SubsystemParams(p=0.9, q=0.9, r=0.1)
 CFG = OracleConfig(state_cap=800, tolerance=1e-10)
@@ -142,6 +143,14 @@ class TestStationaryNumeric:
         pmf = stationary_pmf_numeric(REF, 2, cfg)
         ratio = pmf[4] / pmf[3]
         assert ratio == pytest.approx(1.0 - 0.9 * 0.1, rel=1e-6)
+
+    @pytest.mark.parametrize("p, q, r, n, cap", [
+        (0.9, 0.9, 0.1, 2, 300), (0.5, 0.0, 0.1, 5, 120), (0.2, 0.2, 0.4, 0, 400), (0.05, 0.5, 0.01, 10, 800)])
+    def test_iterates_equal_a_fresh_array_per_step(self, p, q, r, n, cap):
+        params = SubsystemParams(p, q, r)
+        sigma = oracle_mod._threshold_kernel_sigma(params, n, cap)
+        pmf = stationary_pmf_numeric(params, n, OracleConfig(state_cap=cap, tolerance=1e-14))
+        assert np.array_equal(pmf, stationary_pmf_power_iteration(sigma, 1e-14))
 
     def test_threshold_beyond_cap_rejected(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,8 @@ from aoii_jam.core import (
     ThresholdPolicy,
     avg_aat_closed,
     avg_eaoii_closed,
+    avg_eaoii_no_jam,
+    delivery_probability,
     eaoii_ladder,
     lambda_seq,
     stationary_pmf,
@@ -140,8 +142,6 @@ class TestSingleSource:
         assert stats.avg_aat == 0.0
 
     def test_never_jam_true_aoii_matches_no_jam_average(self):
-        from aoii_jam.core import avg_eaoii_no_jam
-
         stats = simulate_single(REF, ThresholdPolicy(INFINITE), 0.0, 300_000, seed=6)
         target = avg_eaoii_no_jam(REF)
         assert abs(stats.avg_true_aoii - target) < 4 * stats.se_true_aoii
@@ -712,10 +712,10 @@ class TestMultiSource:
             assert np.mean([sub.avg_eaoii for sub in per]) == pytest.approx(eaoii, rel=1e-12)
 
 
-# Fleets whose index ranking the speculation must reproduce: criterion 9's two
-# classes, where the jam set never changes, and two where it changes almost
-# every slot.
-SPECULATION_FLEETS = {
+# Fleets whose per-slot index ranking the key bounds must reproduce: criterion
+# 9's two classes, where the jam set never changes, and two where it changes
+# almost every slot.
+INDEX_FLEETS = {
     "criterion9": [(SubsystemParams(0.2, 0.2, 0.4), 0.5), (SubsystemParams(0.8, 0.8, 0.2), 0.5)],
     "one_class": [(SubsystemParams(0.8, 0.8, 0.2), 1.0)],
     "mixed": [(SubsystemParams(0.84, 0.88, 0.35), 0.5), (SubsystemParams(0.46, 0.80, 0.15), 0.5)],
@@ -735,20 +735,22 @@ def per_slot_runs(fleet, horizon, seeds):
 
 
 class TestIndexSpeculation:
+    """The index policy's masks against one ranked step per slot, and its ranked steps."""
+
     @pytest.mark.parametrize("horizon", [4_133, 10_007])
     @pytest.mark.parametrize("n_total", [4, 40])
-    @pytest.mark.parametrize("name", list(SPECULATION_FLEETS))
+    @pytest.mark.parametrize("name", list(INDEX_FLEETS))
     def test_equals_one_ranked_step_per_slot(self, name, n_total, horizon):
-        fleet = FleetConfig.from_classes(SPECULATION_FLEETS[name], n_total, n_total // 2)
+        fleet = FleetConfig.from_classes(INDEX_FLEETS[name], n_total, n_total // 2)
         seeds = [0, 1, 2]
         expected = per_slot_runs(fleet, horizon, seeds)
         assert simulate_multi_batch(fleet, WhittleJam(), horizon, seeds) == expected
 
     @pytest.mark.parametrize("n_total", [4, 40])
-    @pytest.mark.parametrize("name", list(SPECULATION_FLEETS))
+    @pytest.mark.parametrize("name", list(INDEX_FLEETS))
     def test_equals_per_slot_at_extreme_budgets(self, name, n_total):
         for budget in (1, n_total - 1):
-            fleet = FleetConfig.from_classes(SPECULATION_FLEETS[name], n_total, budget)
+            fleet = FleetConfig.from_classes(INDEX_FLEETS[name], n_total, budget)
             expected = per_slot_runs(fleet, 4_133, [3, 4])
             assert simulate_multi_batch(fleet, WhittleJam(), 4_133, [3, 4]) == expected
 
@@ -790,23 +792,63 @@ class TestIndexSpeculation:
             expected = per_slot_runs(fleet, horizon, [seed, seed + 1])
             assert simulate_multi_batch(fleet, WhittleJam(), horizon, [seed, seed + 1]) == expected
 
-    @pytest.mark.parametrize("name, most_steps, most_blocks", [
-        ("criterion9", 3, 3), ("one_class", 10_000, 500)])
-    def test_work_counts(self, monkeypatch, name, most_steps, most_blocks):
+    @pytest.mark.parametrize("name, steps, settled", [
+        ("criterion9", 3, 3), ("one_class", 10_000, 0)])
+    def test_work_counts(self, monkeypatch, name, steps, settled):
         # On criterion 9's classes the key bounds settle each of the three
-        # chunks after one ranked step; where the jam set changes nearly every
-        # slot, the backoff keeps failed blocks rare.
+        # chunks after one ranked step; on one class a channel's own key range
+        # overlaps itself, so they never settle one and every slot is ranked.
         real, work = sim_mod._index_masks, []
 
-        def fill(*args):
-            work.append(real(*args))
-            return work[-1]
+        def fill(masks, *args):
+            work.append((real(masks, *args), len(masks)))
+            return work[-1][0]
 
         monkeypatch.setattr(sim_mod, "_index_masks", fill)
-        horizon = 10_000
-        fleet = FleetConfig.from_classes(SPECULATION_FLEETS[name], 40, 20)
-        simulate_multi_batch(fleet, WhittleJam(), horizon, list(range(10)))
-        steps, blocks = np.sum(work, axis=0)
+        fleet = FleetConfig.from_classes(INDEX_FLEETS[name], 40, 20)
+        simulate_multi_batch(fleet, WhittleJam(), 10_000, list(range(10)))
         assert len(work) == 3
-        assert steps <= most_steps
-        assert blocks <= most_blocks
+        assert sum(ranked for ranked, _ in work) == steps
+        assert sum(ranked < chunk for ranked, chunk in work) == settled
+
+
+def random_baseline_value(classes, theta) -> float:
+    """Per-channel long-run EAoII of jamming each channel with probability theta in every slot.
+
+    Its deliveries are then i.i.d. Bernoulli(rho), rho = theta * p(1-q) +
+    (1 - theta) * p, so it is the no-jam average at p = rho, averaged over
+    the classes; by the tower property it is also the long-run true AoII.
+    """
+    return sum(share * avg_eaoii_no_jam(SubsystemParams(
+        theta * delivery_probability(c, True) + (1 - theta) * c.p, c.q, c.r)) for c, share in classes)
+
+
+class TestRandomBaselines:
+    # Criterion 9's classes (equal shares) at jam rate 1/2, seeds 0-9 and
+    # 2*10^4 slots. Each tolerance is 4 standard deviations of a 10-seed mean,
+    # from the per-seed deviations of EAoII and true AoII measured over 200
+    # seeds: 0.00451 and 0.01011 for the two single-source runs' mean,
+    # 0.00250 and 0.00676 for the fleet at N = 4, 0.00082 and 0.00214 at N = 40.
+    CLASSES = INDEX_FLEETS["criterion9"]
+    SEEDS, HORIZON = range(10), 20_000
+
+    def test_value_of_criterion9_classes(self):
+        assert random_baseline_value(self.CLASSES, 0.5) == pytest.approx(0.51559, abs=5e-6)
+
+    def test_random_jam_matches_exact_value_and_rate(self):
+        runs = [simulate_single(c, RandomJam(0.5), 0.0, self.HORIZON, seed)
+                for seed in self.SEEDS for c, _ in self.CLASSES]
+        exact = random_baseline_value(self.CLASSES, 0.5)
+        assert np.mean([r.avg_eaoii for r in runs]) == pytest.approx(exact, abs=4 * 0.00451 / math.sqrt(10))
+        assert np.mean([r.avg_true_aoii for r in runs]) == pytest.approx(exact, abs=4 * 0.01011 / math.sqrt(10))
+        # Jams are i.i.d. Bernoulli(1/2): 4 binomial deviations of the rate.
+        rate_sd = math.sqrt(0.25 / (self.HORIZON * len(runs)))
+        assert np.mean([r.avg_aat for r in runs]) == pytest.approx(0.5, abs=4 * rate_sd)
+
+    @pytest.mark.parametrize("n_total, sd_eaoii, sd_true", [(4, 0.00250, 0.00676), (40, 0.00082, 0.00214)])
+    def test_random_multi_jam_matches_exact_value(self, n_total, sd_eaoii, sd_true):
+        fleet = FleetConfig.from_classes(self.CLASSES, n_total, n_total // 2)
+        runs = simulate_multi_batch(fleet, RandomMultiJam(), self.HORIZON, list(self.SEEDS))
+        exact = random_baseline_value(self.CLASSES, 0.5)
+        assert np.mean([r.avg_eaoii for r in runs]) == pytest.approx(exact, abs=4 * sd_eaoii / math.sqrt(10))
+        assert np.mean([r.avg_true_aoii for r in runs]) == pytest.approx(exact, abs=4 * sd_true / math.sqrt(10))

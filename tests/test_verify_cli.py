@@ -3,6 +3,9 @@ import io
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -532,6 +535,16 @@ class TestCliCommands:
         assert run_cli(*argv, "--out", str(first)) == 0
         assert run_cli(*argv, "--out", str(second)) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_import_leaves_out_verify_and_oracles(self):
+        # Only ``verify`` needs the verification suite and the numeric oracles.
+        code = ("import sys, aoii_jam.cli; "
+                "print(sorted({'aoii_jam.verify', 'aoii_jam.oracle'} & set(sys.modules)))")
+        src = str(pathlib.Path(cli_mod.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 # name -> (argv, rows of the longest table written, text the output holds).
