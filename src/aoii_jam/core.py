@@ -37,7 +37,6 @@ __all__ = [
     "eaoii_value",
     "eaoii_ladder",
     "delivery_probability",
-    "transition_distribution",
     "stationary_pmf",
     "avg_eaoii_closed",
     "avg_aat_closed",
@@ -189,19 +188,6 @@ def eaoii_ladder(params: SubsystemParams, size: int) -> np.ndarray:
 def delivery_probability(params: SubsystemParams, jammed: bool) -> float:
     """Per-slot delivery probability: p unjammed, p(1-q) under jamming."""
     return params.p * (1.0 - params.q) if jammed else params.p
-
-
-def transition_distribution(
-    params: SubsystemParams, k: int, jammed: bool
-) -> list[tuple[int, float]]:
-    """One-step age law from age k: reset to 0 on delivery, else k+1.
-
-    Returns the two-point distribution [(0, sigma), (k+1, 1-sigma)] with
-    sigma the delivery probability for the given action.
-    """
-    k = _natural(k, "age index")
-    sigma = delivery_probability(params, jammed)
-    return [(0, sigma), (k + 1, 1.0 - sigma)]
 
 
 def stationary_pmf(params: SubsystemParams, n, i):

@@ -31,7 +31,6 @@ __all__ = [
     "ValueIterationResult",
     "ConvergenceError",
     "ThresholdStructureError",
-    "recommended_state_cap",
     "relative_value_iteration",
     "extract_threshold",
     "stationary_pmf_numeric",
@@ -71,17 +70,6 @@ class OracleConfig:
             raise ValueError("state_cap must be >= 10")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-
-
-def recommended_state_cap(params: SubsystemParams, n_hint: int = 0) -> int:
-    """Truncation size keeping the bias well under the test tolerances.
-
-    The chain forgets its tail at rate p(1-q) per slot under jamming, so the
-    cap leaves about 60 expected reset times above the largest threshold of
-    interest.
-    """
-    reset = params.p * (1.0 - params.q)
-    return int(n_hint + math.ceil(60.0 / reset))
 
 
 @dataclass
@@ -188,8 +176,6 @@ def stationary_pmf_numeric(
     (self-loop at the cap). Iterates from uniform until the L1 change drops
     below the tolerance, then renormalizes.
     """
-    if params.q >= 1.0:
-        raise ValueError("q < 1 required")
     cap = cfg.state_cap
     if n > cap:
         raise ValueError(f"threshold {n} exceeds the state cap {cap}")
@@ -208,23 +194,29 @@ def stationary_pmf_numeric(
     raise ConvergenceError("power iteration did not converge", change)
 
 
-def _tail_mass(params: SubsystemParams, n: int, cap: int) -> float:
-    """Exact stationary mass above the truncation cap (cap >= n)."""
-    b = 1.0 - delivery_probability(params, True)
-    if b == 0.0:
-        return 0.0
-    return stationary_pmf(params, n, cap) * b / (1.0 - b)
-
-
 def _tail_cap(params: SubsystemParams, n: int, target: float, min_steps: int) -> int:
     """n plus the steps, at least ``min_steps``, that bring b^steps down to target (1-b).
 
-    Above threshold n the age law decays like b^(k-n), b = 1 - p(1-q); at b = 0 it has no tail.
+    The one rule that cuts every truncated age chain here. Above threshold n
+    the age law decays like b^(k-n), b = 1 - p(1-q); at b = 0 it has no tail.
     """
     b = 1.0 - delivery_probability(params, True)
     if b == 0.0:
         return n + 10
     return n + max(math.ceil(math.log(target * (1.0 - b)) / math.log(b)), min_steps)
+
+
+def _truncated_law(
+    params: SubsystemParams, n: int, target: float, min_steps: int
+) -> tuple[np.ndarray, float]:
+    """Closed-form age law on ages 0.._tail_cap and the exact mass above that cap.
+
+    Past the cap (at or above n) the law shrinks by b = 1 - p(1-q) per age,
+    so the mass above it is u_cap b / (1 - b).
+    """
+    u = stationary_pmf(params, n, np.arange(_tail_cap(params, n, target, min_steps) + 1))
+    b = 1.0 - delivery_probability(params, True)
+    return u, (0.0 if b == 0.0 else u[-1] * b / (1.0 - b))
 
 
 def avg_numeric(params: SubsystemParams, n: int) -> tuple[float, float]:
@@ -237,20 +229,16 @@ def avg_numeric(params: SubsystemParams, n: int) -> tuple[float, float]:
     """
     r = params.r
     b = 1.0 - delivery_probability(params, True)
-    cap = _tail_cap(params, n, 1e-13 * 2.0 * r, 10)  # s_k is below 1/(2r)
-    u = stationary_pmf(params, n, np.arange(cap + 1))
-    s = eaoii_ladder(params, cap + 1)
-    avg_s = float(np.sum(s * u))
+    u, mass = _truncated_law(params, n, 1e-13 * 2.0 * r, 10)  # s_k is below 1/(2r)
+    avg_s = float(np.sum(eaoii_ladder(params, len(u)) * u))
     avg_d = float(np.sum(u[n:]))
     # Exact geometric remainders beyond the cap.
-    mass = _tail_mass(params, n, cap)
     if mass > 0.0:
-        u_cap = stationary_pmf(params, n, cap)
         beta1 = 1.0 - 2.0 * r
         beta2 = 1.0 - r
-        tail1 = beta1 ** (cap + 1) * (b * beta1) / (1.0 - b * beta1)
-        tail2 = beta2 ** (cap + 1) * (b * beta2) / (1.0 - b * beta2)
-        avg_s += (mass + u_cap * (tail1 - 2.0 * tail2)) / (2.0 * r)
+        tail1 = beta1 ** len(u) * (b * beta1) / (1.0 - b * beta1)
+        tail2 = beta2 ** len(u) * (b * beta2) / (1.0 - b * beta2)
+        avg_s += (mass + u[-1] * (tail1 - 2.0 * tail2)) / (2.0 * r)
         avg_d += mass
     return avg_s, avg_d
 

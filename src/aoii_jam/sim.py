@@ -263,10 +263,10 @@ def single_trace(
 ) -> dict[str, np.ndarray]:
     """Raw per-slot record of a single-source run.
 
-    Returns arrays over slots 0..horizon-1: the age and true AoII at
-    decision time, the committed jam decision, and whether that slot's
-    packet was delivered. It draws and resolves ``_CHUNK`` slots at a time
-    as a one-channel fleet lane, holding only per-chunk scratch beyond them.
+    Returns arrays over slots 0..horizon-1: the age and true AoII at decision
+    time (int32, as the fleet keeps them), the committed jam decision, and
+    whether that slot's packet was delivered. It draws and resolves ``_CHUNK``
+    slots at a time as a one-channel fleet lane, holding only per-chunk scratch.
     """
     _check_run(horizon)
     if not isinstance(policy, (ThresholdPolicy, RandomJam)):
@@ -278,7 +278,7 @@ def single_trace(
     n = min(int(policy.threshold), horizon) if not random_mode and policy.is_finite else horizon
 
     trace = {name: np.empty(horizon, dtype=dtype) for name, dtype in (
-        ("age_index", np.int64), ("true_aoii", np.int64), ("jammed", bool), ("delivered", bool))}
+        ("age_index", np.int32), ("true_aoii", np.int32), ("jammed", bool), ("delivered", bool))}
     carry = _start_carry(1)
     for start in range(0, horizon, _CHUNK):
         stop = min(start + _CHUNK, horizon)

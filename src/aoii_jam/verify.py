@@ -22,7 +22,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import core, oracle, whittle
-from .oracle import _tail_cap, _tail_mass, _threshold_kernel_sigma
+from .oracle import _tail_cap, _threshold_kernel_sigma, _truncated_law
 
 # Grid knobs kept module-level so the acceptance suite and the CLI agree.
 RVI_PARAMS = [(0.9, 0.9, 0.1), (0.5, 0.6, 0.3)]
@@ -85,14 +85,17 @@ def check_eaoii_monotone_bounded(grid) -> Iterator[tuple[float, dict]]:
 
 
 def check_kernel_stochastic(grid) -> Iterator[tuple[float, dict]]:
-    """The two-point age kernel is an exact probability distribution."""
+    """Every row of the threshold kernel the oracles run is an exact probability distribution.
+
+    Age k resets with probability sigma_k and moves up (the cap self-loops)
+    with 1 - sigma_k; a sigma_k outside [0, 1] is a broken row.
+    """
     for params in grid:
-        for k in (0, 1, 5):
-            for jammed in (False, True):
-                dist = core.transition_distribution(params, k, jammed)
-                total = sum(prob for _, prob in dist)
-                broken = any(prob < 0 for _, prob in dist) or len(dist) != 2
-                yield math.inf if broken else abs(total - 1.0), _witness(params, k=k, jammed=jammed)
+        for n in N_GRID:
+            sigma = _threshold_kernel_sigma(params, n, _tail_cap(params, n, 1e-16, 20))
+            err = np.where((sigma < 0.0) | (sigma > 1.0), math.inf, np.abs(sigma + (1.0 - sigma) - 1.0))
+            k = int(err.argmax())  # the first NaN, if any
+            yield float(err[k]), _witness(params, n=n, k=k)
 
 
 def check_stationary_vs_power_iteration(grid) -> Iterator[tuple[float, dict]]:
@@ -100,13 +103,12 @@ def check_stationary_vs_power_iteration(grid) -> Iterator[tuple[float, dict]]:
     solved = {}  # the numeric law and its cap read p, q and n only: one solve serves every r
     for params in grid:
         for n in N_GRID:
-            cap = _tail_cap(params, n, 1e-10, 20)
+            closed, mass = _truncated_law(params, n, 1e-10, 20)
             key = (params.p, params.q, n)
             if key not in solved:
-                cfg = oracle.OracleConfig(state_cap=cap, tolerance=1e-14)
+                cfg = oracle.OracleConfig(state_cap=len(closed) - 1, tolerance=1e-14)
                 solved[key] = oracle.stationary_pmf_numeric(params, n, cfg)
-            closed = core.stationary_pmf(params, n, np.arange(cap + 1))
-            tv = 0.5 * (np.abs(solved[key] - closed).sum() + _tail_mass(params, n, cap))
+            tv = 0.5 * (np.abs(solved[key] - closed).sum() + mass)
             yield float(tv), _witness(params, n=n)
 
 
@@ -114,22 +116,20 @@ def check_stationary_normalization(grid) -> Iterator[tuple[float, dict]]:
     """Closed-form age law sums to one, geometric tail included."""
     for params in grid:
         for n in N_GRID:
-            cap = _tail_cap(params, n, 1e-16, 20)
-            total = core.stationary_pmf(params, n, np.arange(cap + 1)).sum()
-            total += _tail_mass(params, n, cap)
-            yield abs(total - 1.0), _witness(params, n=n)
+            u, mass = _truncated_law(params, n, 1e-16, 20)
+            yield abs(u.sum() + mass - 1.0), _witness(params, n=n)
 
 
 def check_stationary_balance(grid) -> Iterator[tuple[float, dict]]:
     """The closed-form law satisfies the full balance equation pointwise."""
     for params in grid:
         for n in N_GRID:
-            cap = _tail_cap(params, n, 1e-16, 20)
-            u = core.stationary_pmf(params, n, np.arange(cap + 1))
+            u, mass = _truncated_law(params, n, 1e-16, 20)
+            cap = len(u) - 1
             sigma = _threshold_kernel_sigma(params, n, cap)
             # Inflow to age 0 comes from every age; the tail beyond the cap
             # delivers at the jammed rate, sigma's last entry.
-            inflow0 = float(sigma @ u) + sigma[-1] * _tail_mass(params, n, cap)
+            inflow0 = float(sigma @ u) + sigma[-1] * mass
             yield abs(u[0] - inflow0), _witness(params, n=n, k=0)
             upto = min(40, cap)
             resid = np.abs(u[1 : upto + 1] - (1.0 - sigma[:upto]) * u[:upto])
@@ -349,8 +349,7 @@ def check_rvi_consistency(grid) -> Iterator[tuple[float, dict]]:
             lam = float(lam)
             expected = core.optimal_threshold(params, lam)
             hint = expected.threshold if expected.is_finite else 120
-            cfg = oracle.OracleConfig(state_cap=oracle.recommended_state_cap(params, int(hint)),
-                                      tolerance=1e-10)
+            cfg = oracle.OracleConfig(state_cap=_tail_cap(params, int(hint), 1e-12, 10), tolerance=1e-10)
             result = oracle.relative_value_iteration(params, lam, cfg)
             extracted = oracle.extract_threshold(result)
             if extracted != expected:

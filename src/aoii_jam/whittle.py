@@ -80,9 +80,12 @@ class FleetConfig:
     ) -> "FleetConfig":
         """Build a fleet from (params, fraction) classes.
 
-        Class sizes are round(fraction * n_total); a hard error if the
-        rounded counts do not add up to n_total.
+        Class sizes are round(fraction * n_total); a hard error if a fraction
+        is outside [0, 1], NaN included, or the counts do not add up to n_total.
         """
+        bad = [frac for _, frac in classes if not 0.0 <= frac <= 1.0]
+        if bad:
+            raise ValueError(f"class fraction {bad[0]} is not in [0, 1]")
         counts = [round(frac * n_total) for _, frac in classes]
         if sum(counts) != n_total:
             raise ValueError(

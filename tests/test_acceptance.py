@@ -28,9 +28,9 @@ from aoii_jam.core import (
 )
 from aoii_jam.oracle import (
     OracleConfig,
+    _tail_cap,
     brute_force_threshold,
     extract_threshold,
-    recommended_state_cap,
     relative_value_iteration,
 )
 from aoii_jam.sim import (
@@ -107,9 +107,7 @@ def test_criterion_04_threshold_structure():
         lam = float(lam)
         expected = optimal_threshold(REF, lam)
         hint = expected.threshold if expected.is_finite else 120
-        cfg = OracleConfig(
-            state_cap=recommended_state_cap(REF, int(hint)), tolerance=1e-10
-        )
+        cfg = OracleConfig(state_cap=_tail_cap(REF, int(hint), 1e-12, 10), tolerance=1e-10)
         result = relative_value_iteration(REF, lam, cfg)
         extracted = extract_threshold(result)  # raises if non-monotone
         assert extracted == expected, (lam, extracted, expected)

@@ -22,7 +22,6 @@ from aoii_jam.core import (
     optimal_thresholds,
     stationary_pmf,
     steady_reward,
-    transition_distribution,
 )
 from aoii_jam.sim import single_trace
 
@@ -176,21 +175,6 @@ class TestKernel:
         assert delivery_probability(REF, False) == 0.9
         assert delivery_probability(REF, True) == pytest.approx(0.09, abs=1e-15)
         assert delivery_probability(SubsystemParams(0.5, 0.0, 0.1), True) == 0.5
-
-    def test_transition_rows(self):
-        assert transition_distribution(REF, 0, False) == [(0, 0.9), (1, pytest.approx(0.1))]
-        jam = transition_distribution(REF, 3, True)
-        assert jam[0] == (0, pytest.approx(0.09))
-        assert jam[1] == (4, pytest.approx(0.91))
-        perfect = transition_distribution(SubsystemParams(1.0, 0.0, 0.1), 7, False)
-        assert perfect == [(0, 1.0), (8, 0.0)]
-
-    @settings(max_examples=60, deadline=None)
-    @given(params=params_st, k=st.integers(0, 50), jammed=st.booleans())
-    def test_rows_sum_to_one_exactly(self, params, k, jammed):
-        dist = transition_distribution(params, k, jammed)
-        assert sum(prob for _, prob in dist) == 1.0
-        assert all(prob >= 0 for _, prob in dist)
 
 
 class TestStationaryPmf:

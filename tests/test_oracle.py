@@ -30,11 +30,10 @@ from aoii_jam.oracle import (
     avg_numeric,
     brute_force_threshold,
     extract_threshold,
-    recommended_state_cap,
     relative_value_iteration,
     stationary_pmf_numeric,
 )
-from aoii_jam.verify import default_grid
+from aoii_jam.verify import RVI_LAMBDA_COUNT, RVI_PARAMS, default_grid
 from reference import stationary_pmf_power_iteration
 
 REF = SubsystemParams(p=0.9, q=0.9, r=0.1)
@@ -47,10 +46,6 @@ class TestConfig:
             OracleConfig(state_cap=5)
         with pytest.raises(ValueError):
             OracleConfig(tolerance=0.0)
-
-    def test_recommended_cap_scales_with_reset_rate(self):
-        assert recommended_state_cap(REF) == pytest.approx(60 / 0.09, abs=1)
-        assert recommended_state_cap(REF, n_hint=50) == recommended_state_cap(REF) + 50
 
 
 class TestValueIteration:
@@ -120,6 +115,18 @@ class TestExtractThreshold:
     def test_non_monotone_raises(self):
         with pytest.raises(ThresholdStructureError):
             extract_threshold(self._result([0, 1, 0, 1]))
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(params=st.builds(SubsystemParams, p=st.floats(0.05, 1.0), q=st.floats(0.0, 0.95),
+                            r=st.floats(0.02, 0.5)),
+           n=st.integers(0, 50), extra=st.integers(0, 50))
+    def test_rows_sum_to_one_exactly(self, params, n, extra):
+        # Row k of the kernel the power iteration runs: reset with sigma_k, move up with 1 - sigma_k.
+        sigma = oracle_mod._threshold_kernel_sigma(params, n, n + extra)
+        assert np.all(sigma + (1.0 - sigma) == 1.0)
+        assert np.all((sigma >= 0.0) & (sigma <= 1.0))
 
 
 class TestStationaryNumeric:
@@ -280,3 +287,29 @@ class TestTailCap:
                     assert _tail_cap(params, n, target, 20) == self.verify_cap(params, n, target)
                 caps.add(new - n)
         assert {10} < caps  # the floor binds somewhere, the log rule elsewhere
+
+    def test_truncated_law_mass_above_the_cap_is_exact(self):
+        # At a coarse cut the mass above the cap is up to 2e-3, far above the
+        # checks' tolerances: only the exact geometric tail makes the law sum to 1.
+        for params in default_grid():
+            for n in (0, 2, 10):
+                u, mass = oracle_mod._truncated_law(params, n, 1e-2, 1)
+                assert len(u) - 1 == _tail_cap(params, n, 1e-2, 1)
+                assert abs(u.sum() + mass - 1.0) < 1e-14, (params, n)
+
+    def test_value_iteration_cut_is_large_enough(self):
+        # The cap value iteration is run at (target 1e-12, 10 steps past the
+        # hint) gives, to a few ulps, the gain and policy of twice that cap:
+        # rvi_consistency's 12 costs and criterion 4's 20.
+        cases = [(SubsystemParams(*triple), float(lam)) for triple in RVI_PARAMS
+                 for lam in np.linspace(0.0, 1.1 * lambda_limit(SubsystemParams(*triple)),
+                                        RVI_LAMBDA_COUNT)]
+        cases += [(REF, float(lam)) for lam in np.linspace(0.0, 5.0, 20)]
+        assert len(cases) == 32
+        for params, lam in cases:
+            expected = optimal_threshold(params, lam)
+            cap = _tail_cap(params, expected.threshold if expected.is_finite else 120, 1e-12, 10)
+            cut, doubled = (relative_value_iteration(params, lam, OracleConfig(size, 1e-10))
+                            for size in (cap, 2 * cap))
+            assert extract_threshold(cut) == extract_threshold(doubled) == expected
+            assert abs(cut.theta - doubled.theta) <= 1e-14, (params, lam)

@@ -209,8 +209,8 @@ class TestSingleSource:
             state = step_subsystem(state, params, jam, (u_flip[t], u_deliver[t]))
             delivered.append(state.age_index == 0)
         expected = {
-            "age_index": np.array(ages, dtype=np.int64),
-            "true_aoii": np.array(aoiis, dtype=np.int64),
+            "age_index": np.array(ages, dtype=np.int32),  # the fleet's width
+            "true_aoii": np.array(aoiis, dtype=np.int32),
             "jammed": np.array(jammed, dtype=bool),
             "delivered": np.array(delivered, dtype=bool),
         }

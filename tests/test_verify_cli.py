@@ -188,6 +188,26 @@ class TestVerifySuite:
         assert not check["passed"] and not report["passed"]
         assert check["witness"] == failing[0]
 
+    def test_kernel_stochastic_reports_a_row_outside_0_1(self, monkeypatch, tmp_path):
+        # One age of one case resets with probability above 1, so its row
+        # moves up with a negative probability: the check must say Infinity there.
+        real = oracle_mod._threshold_kernel_sigma
+        broken = default_grid()[7]
+
+        def sigma(params, n, cap):
+            out = real(params, n, cap)
+            if params == broken and n == 2:
+                out[5] = 1.0 + 2.0**-52
+            return out
+
+        monkeypatch.setattr(verify_mod, "_threshold_kernel_sigma", sigma)
+        out = tmp_path / "report.json"
+        assert run_cli("verify", "--checks", "kernel_stochastic", "--out", str(out)) == 1
+        assert '"worst_error": Infinity' in out.read_text()
+        check = json.loads(out.read_text())["checks"][0]
+        assert check["worst_error"] == math.inf and not check["passed"]
+        assert check["witness"] == {"p": broken.p, "q": broken.q, "r": broken.r, "n": 2, "k": 5}
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -339,6 +359,18 @@ class TestCliCommands:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("classes, bad", [
+        ("0.2,0.2,0.4,1.5;0.8,0.8,0.2,-0.5", "1.5"), ("0.2,0.2,0.4,0.5;0.8,0.8,0.2,nan", "nan")])
+    def test_multi_sim_refuses_a_class_fraction_outside_0_1(self, classes, bad, monkeypatch, capsys):
+        # 1.5 and -0.5 sum to 1, and NaN passes the sum check; each is refused
+        # before any fleet is simulated.
+        def simulate(*args):
+            pytest.fail("simulated a fleet with a refused class fraction")
+
+        monkeypatch.setattr(cli_mod, "simulate_multi_batch", simulate)
+        assert run_cli("multi-sim", "--classes", classes, "--n-list", "4,8", "--m-rule", "1") == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: class fraction {bad} is not in [0, 1]"]
 
     def test_sim_stats_and_trace(self, tmp_path):
         out = tmp_path / "stats.json"
@@ -718,7 +750,8 @@ class TestTableWriter:
         monkeypatch.setattr(cli_mod, "whittle_index_iterative", build)
         assert run_cli(*iterative, "--k-max", "10001") == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: --k-max must be at most 10000 for --method iterative, got 10001"
+            "error: --method iterative builds at most 10001 rows in all, "
+            "got 10002 (1 --params at --k-max 10001)"
         ]
         # The closed method keeps the row cap alone.
         out = tmp_path / "table.csv"
@@ -732,7 +765,7 @@ class TestTableWriter:
         assert len([line for line in out.read_text().splitlines() if line[0].isdigit()]) == 31
         assert run_cli(*iterative, "--k-max", "31") == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: --k-max must be at most 30 for --method iterative, got 31"
+            "error: --method iterative builds at most 31 rows in all, got 32 (1 --params at --k-max 31)"
         ]
 
     def test_whittle_table_iterative_row_limit(self, tmp_path, monkeypatch, capsys):

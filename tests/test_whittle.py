@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +271,13 @@ class TestFleetConfig:
         )
         assert fleet.subsystems.count(CLASS_SLOW) == 4
         assert fleet.subsystems.count(CLASS_FAST) == 4
+
+    @pytest.mark.parametrize("fractions, bad", [
+        ((1.5, -0.5), 1.5), ((0.5, -0.0001), -0.0001), ((0.5, float("nan")), float("nan"))])
+    def test_from_classes_rejects_a_fraction_outside_0_1(self, fractions, bad):
+        # 1.5 and -0.5 give counts 6 and -2 at N = 4, which sum to N.
+        with pytest.raises(ValueError, match=re.escape(f"class fraction {bad} is not in [0, 1]")):
+            FleetConfig.from_classes(list(zip((CLASS_SLOW, CLASS_FAST), fractions)), 4, 1)
 
     def test_from_classes_rejects_non_integral_split(self):
         with pytest.raises(ValueError, match="sum to N"):
