@@ -33,7 +33,6 @@ from .core import (
     _check_cost,
     avg_aat_closed,
     avg_eaoii_closed,
-    avg_eaoii_no_jam,
     eaoii_ladder,
     lambda_limit,
     optimal_thresholds,
@@ -323,14 +322,17 @@ _ITERATIVE_K_MAX = 10_000
 
 
 def _lambda_grid(opts) -> np.ndarray:
-    """The lambda grid, every 10th point unless ``full``."""
+    """Every whole step from the minimum up to the maximum, every 10th point unless ``full``.
+
+    A range within 1e-9 of a whole number of steps counts as whole (float noise).
+    """
     lo, hi, step = opts["lambda-min"], opts["lambda-max"], opts["lambda-step"]
     if step <= 0:
         raise ConfigError("lambda step must be positive")
     if hi < lo:
         raise ConfigError("lambda range is empty")
     steps = (hi - lo) / step  # inf when the quotient overflows
-    count = round(steps) + 1 if steps < MAX_GRID_POINTS else math.inf
+    count = math.floor(steps * (1.0 + 1e-9)) + 1 if steps < MAX_GRID_POINTS else math.inf
     if count > MAX_GRID_POINTS:
         raise ConfigError(f"--lambda-step: the grid from --lambda-min to --lambda-max would have "
                           f"{steps + 1:.10g} points, more than {MAX_GRID_POINTS}")
@@ -378,8 +380,7 @@ def cmd_sweep_lambda(args, opts) -> int:
     baseline = simulate_single(params, RandomJam(0.5), 0.0, horizon, seed)
     runs = [simulate_single(params, policy, 0.0, horizon, seed) for policy in policies]
     # Each point's (average EAoII, jammed fraction): closed form and simulated.
-    closed = np.repeat([(avg_eaoii_closed(params, p.threshold), avg_aat_closed(params, p.threshold))
-                        if p.is_finite else (avg_eaoii_no_jam(params), 0.0) for p in policies],
+    closed = np.repeat([(avg_eaoii_closed(params, p), avg_aat_closed(params, p)) for p in policies],
                        lengths, axis=0)
     sim = np.repeat([(stats.avg_eaoii, stats.avg_aat) for stats in runs], lengths, axis=0)
     table = {

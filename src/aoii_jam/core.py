@@ -30,9 +30,7 @@ import numpy as np
 
 __all__ = [
     "SubsystemParams",
-    "InfiniteThreshold",
     "INFINITE",
-    "Threshold",
     "ThresholdPolicy",
     "eaoii_value",
     "eaoii_ladder",
@@ -85,23 +83,9 @@ class SubsystemParams:
             raise ValueError(f"p={self.p}, q={self.q}, r={self.r}: the closed forms are not finite")
 
 
-class InfiniteThreshold:
-    """Distinguished never-jam threshold marker (not a sentinel number)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = InfiniteThreshold()
-
-Threshold = int | InfiniteThreshold
+# The never-jam threshold. Every closed form evaluates at it as its limit
+# n -> infinity: a^inf = 0 for 0 <= a < 1, so the law keeps no jammed mass.
+INFINITE = math.inf
 
 
 @dataclass(frozen=True)
@@ -111,18 +95,17 @@ class ThresholdPolicy:
     ``INFINITE`` means never jam.
     """
 
-    threshold: Threshold
+    threshold: int | float
 
     def __post_init__(self):
-        if isinstance(self.threshold, InfiniteThreshold):
-            return
-        if (not isinstance(self.threshold, (int, np.integer)) or isinstance(self.threshold, bool)
-                or self.threshold < 0):
+        t = self.threshold
+        natural = isinstance(t, (int, np.integer)) and not isinstance(t, bool) and t >= 0
+        if not (natural or isinstance(t, float) and t == INFINITE):
             raise ValueError(f"threshold must be a natural number or INFINITE, got {self.threshold!r}")
 
     @property
     def is_finite(self) -> bool:
-        return not isinstance(self.threshold, InfiniteThreshold)
+        return self.threshold != INFINITE
 
 
 def _check_cost(lam: float) -> None:
@@ -149,13 +132,11 @@ def _natural(value, what: str):
     return value
 
 
-def _finite_threshold(n):
-    """Normalize a threshold argument to a finite int or int array, rejecting INFINITE."""
+def _threshold(n):
+    """Normalize a threshold argument to a natural int, an int array or INFINITE."""
     if isinstance(n, ThresholdPolicy):
         n = n.threshold
-    if isinstance(n, InfiniteThreshold):
-        raise ValueError("finite threshold required; use the dedicated no-jam path for INFINITE")
-    return _natural(n, "threshold")
+    return n if isinstance(n, float) and n == INFINITE else _natural(n, "threshold")
 
 
 def _scalar(value):
@@ -191,14 +172,14 @@ def delivery_probability(params: SubsystemParams, jammed: bool) -> float:
 
 
 def stationary_pmf(params: SubsystemParams, n, i):
-    """Stationary probability of age i under the finite threshold n; i may be an array.
+    """Stationary probability of age i under the threshold n; i may be an array.
 
     Below the threshold the chain loses mass geometrically at rate 1-p per
     step; at and above it, at rate 1 - p(1-q). The atom at 0 is
-    p(1-q) / (1 - q + q (1-p)^n). Rejects INFINITE; with q = 0 the law
-    is the never-jam geometric p (1-p)^i for every n.
+    p(1-q) / (1 - q + q (1-p)^n). At INFINITE, and with q = 0 for every n,
+    the law is the never-jam geometric p (1-p)^i.
     """
-    n = _finite_threshold(n)
+    n = _threshold(n)
     i = _natural(i, "age index")
     p, q = params.p, params.q
     a = 1.0 - p
@@ -237,35 +218,30 @@ def _steady_averages(params: SubsystemParams, n):
 
 
 def avg_eaoii_closed(params: SubsystemParams, n):
-    """Long-run average EAoII under the finite threshold n; n an integer or an integer array.
+    """Long-run average EAoII under the threshold n: an integer, an integer array or INFINITE.
 
     Validated against the truncated-sum oracle in the test suite.
     """
-    return _steady_averages(params, _finite_threshold(n))[0]
+    return _steady_averages(params, _threshold(n))[0]
 
 
 def avg_aat_closed(params: SubsystemParams, n):
-    """Long-run fraction of jammed slots under the finite threshold n; n as for avg_eaoii_closed.
+    """Long-run fraction of jammed slots under the threshold n; n as for avg_eaoii_closed.
 
     Equals (1-p)^n / (1 - q + q (1-p)^n): the stationary mass at or above
-    the threshold. Strictly decreasing in n; equal to 1 at n = 0.
+    the threshold. Strictly decreasing in n; 1 at n = 0 and 0 at INFINITE.
     """
-    return _steady_averages(params, _finite_threshold(n))[1]
+    return _steady_averages(params, _threshold(n))[1]
 
 
 def avg_eaoii_no_jam(params: SubsystemParams) -> float:
     """Long-run average EAoII when the adversary never jams."""
-    p, r = params.p, params.r
-    a = 1.0 - p
-    beta1 = 1.0 - 2.0 * r
-    beta2 = 1.0 - r
-    body = p * beta1 / (1.0 - a * beta1) - 2.0 * p * beta2 / (1.0 - a * beta2)
-    return (1.0 + body) / (2.0 * r)
+    return avg_eaoii_closed(params, INFINITE)
 
 
 def steady_reward(params: SubsystemParams, n, lam):
     """Steady-state adversary reward of threshold n at jamming cost lam; both broadcast."""
-    sbar, dbar = _steady_averages(params, _finite_threshold(n))
+    sbar, dbar = _steady_averages(params, _threshold(n))
     return sbar - lam * dbar
 
 
@@ -314,13 +290,13 @@ def lambda_seq(params: SubsystemParams, n):
 
     The reward lines avg_eaoii(n) - lam * avg_aat(n) of consecutive
     thresholds intersect at exactly one subsidy level; this closed form is
-    that intersection. It is strictly increasing in n (toward
-    ``lambda_limit``), zero everywhere when q = 0, and doubles as the
-    per-state priority index of the multi-channel jammer. A scalar age is
+    that intersection. It is strictly increasing in n toward ``lambda_limit``,
+    its value at INFINITE; it is zero everywhere when q = 0, and doubles as
+    the per-state priority index of the multi-channel jammer. A scalar age is
     evaluated with Python's float power and an age array with numpy's, which
     may differ in the last place.
     """
-    n = _finite_threshold(n)
+    n = _threshold(n)
     return lambda_limit(params) - _lambda_decay(params, n)
 
 
@@ -334,7 +310,7 @@ def intersection_lambda(params: SubsystemParams, m: int, n) -> float:
     threshold). ``intersection_lambda(params, n, n+1) == lambda_seq(params, n)``.
     Accepts a scalar or numpy array for ``n``.
     """
-    m = _finite_threshold(m)
+    m = _natural(m, "threshold")  # finite, as m < n
     if not isinstance(n, np.ndarray) and n <= m:
         raise ValueError(f"need n > m, got m={m}, n={n}")
     a = 1.0 - params.p

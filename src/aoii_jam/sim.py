@@ -275,7 +275,7 @@ def single_trace(
     lane = _lane(seed, (params,))
     random_mode = isinstance(policy, RandomJam)
     # No age reaches the horizon, so a threshold there never binds.
-    n = min(int(policy.threshold), horizon) if not random_mode and policy.is_finite else horizon
+    n = horizon if random_mode else int(min(policy.threshold, horizon))
 
     trace = {name: np.empty(horizon, dtype=dtype) for name, dtype in (
         ("age_index", np.int32), ("true_aoii", np.int32), ("jammed", bool), ("delivered", bool))}

@@ -99,38 +99,38 @@ def check_kernel_stochastic(grid) -> Iterator[tuple[float, dict]]:
 
 
 def check_stationary_vs_power_iteration(grid) -> Iterator[tuple[float, dict]]:
-    """Closed-form age law vs the power-iteration fixed point (TV distance)."""
+    """Closed-form age law vs the power-iteration fixed point (TV distance up to the cap).
+
+    This check and the two below leave out the mass above the cap: it is far
+    below their tolerances, so it could not change a pass or a fail.
+    """
     solved = {}  # the numeric law and its cap read p, q and n only: one solve serves every r
     for params in grid:
         for n in N_GRID:
-            closed, mass = _truncated_law(params, n, 1e-10, 20)
+            closed = _truncated_law(params, n, 1e-10, 20)[0]
             key = (params.p, params.q, n)
             if key not in solved:
                 cfg = oracle.OracleConfig(state_cap=len(closed) - 1, tolerance=1e-14)
                 solved[key] = oracle.stationary_pmf_numeric(params, n, cfg)
-            tv = 0.5 * (np.abs(solved[key] - closed).sum() + mass)
-            yield float(tv), _witness(params, n=n)
+            yield 0.5 * float(np.abs(solved[key] - closed).sum()), _witness(params, n=n)
 
 
 def check_stationary_normalization(grid) -> Iterator[tuple[float, dict]]:
-    """Closed-form age law sums to one, geometric tail included."""
+    """Closed-form age law sums to one over a chain cut below 1e-16 of mass."""
     for params in grid:
         for n in N_GRID:
-            u, mass = _truncated_law(params, n, 1e-16, 20)
-            yield abs(u.sum() + mass - 1.0), _witness(params, n=n)
+            yield abs(_truncated_law(params, n, 1e-16, 20)[0].sum() - 1.0), _witness(params, n=n)
 
 
 def check_stationary_balance(grid) -> Iterator[tuple[float, dict]]:
     """The closed-form law satisfies the full balance equation pointwise."""
     for params in grid:
         for n in N_GRID:
-            u, mass = _truncated_law(params, n, 1e-16, 20)
+            u = _truncated_law(params, n, 1e-16, 20)[0]
             cap = len(u) - 1
             sigma = _threshold_kernel_sigma(params, n, cap)
-            # Inflow to age 0 comes from every age; the tail beyond the cap
-            # delivers at the jammed rate, sigma's last entry.
-            inflow0 = float(sigma @ u) + sigma[-1] * mass
-            yield abs(u[0] - inflow0), _witness(params, n=n, k=0)
+            # Inflow to age 0 comes from every age up to the cap.
+            yield abs(u[0] - float(sigma @ u)), _witness(params, n=n, k=0)
             upto = min(40, cap)
             resid = np.abs(u[1 : upto + 1] - (1.0 - sigma[:upto]) * u[:upto])
             yield float(resid.max()), _witness(params, n=n, k=int(resid.argmax()) + 1)
@@ -348,18 +348,14 @@ def check_rvi_consistency(grid) -> Iterator[tuple[float, dict]]:
         for lam in lams:
             lam = float(lam)
             expected = core.optimal_threshold(params, lam)
-            hint = expected.threshold if expected.is_finite else 120
-            cfg = oracle.OracleConfig(state_cap=_tail_cap(params, int(hint), 1e-12, 10), tolerance=1e-10)
+            hint = int(min(expected.threshold, 120))  # never jamming is sized as threshold 120
+            cfg = oracle.OracleConfig(state_cap=_tail_cap(params, hint, 1e-12, 10), tolerance=1e-10)
             result = oracle.relative_value_iteration(params, lam, cfg)
             extracted = oracle.extract_threshold(result)
             if extracted != expected:
                 yield math.inf, _witness(params, lam=lam)
                 continue
-            if expected.is_finite:
-                target = core.steady_reward(params, expected.threshold, lam)
-            else:
-                target = core.avg_eaoii_no_jam(params)
-            yield abs(result.theta - target), _witness(params, lam=lam)
+            yield abs(result.theta - core.steady_reward(params, expected, lam)), _witness(params, lam=lam)
 
 
 def check_select_jam_set(grid) -> Iterator[tuple[float, dict]]:

@@ -180,8 +180,9 @@ def indexability_check(params: SubsystemParams, n_max: int) -> bool:
 
 
 def select_jam_set(fleet: list[SubsystemState], budget: int) -> set[int]:
-    """Ids of the min(budget, N) channels with the highest current indices.
+    """Ids of the ``budget`` channels with the highest current indices.
 
+    A budget below 0 or above the fleet size, or a repeated id, raises.
     Ties break toward the lower subsystem id so replays are deterministic.
     The indices are read as the fleet simulator reads them, from one
     ``lambda_seq`` age array per distinct ``params``: a scalar age may

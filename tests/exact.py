@@ -46,6 +46,17 @@ def exact_avg_eaoii(params: SubsystemParams, n: int) -> Fraction:
     return (ONE + u0 * body) / (2 * r)
 
 
+def exact_avg_eaoii_no_jam(params: SubsystemParams) -> Fraction:
+    """The never-jam average: the geometric law p (1-p)^k summed against the s_k ladder."""
+    p, _, r = _pqr(params)
+    a = ONE - p
+
+    def tail(beta: Fraction) -> Fraction:
+        return beta / (ONE - a * beta)
+
+    return (ONE + p * (tail(ONE - 2 * r) - 2 * tail(ONE - r))) / (2 * r)
+
+
 def exact_intersection(params: SubsystemParams, m: int, n: int) -> Fraction:
     """Exact (avg_eaoii(n) - avg_eaoii(m)) / (avg_aat(n) - avg_aat(m))."""
     ds = exact_avg_eaoii(params, n) - exact_avg_eaoii(params, m)

@@ -106,17 +106,12 @@ def test_criterion_04_threshold_structure():
     for lam in np.linspace(0.0, 5.0, 20):
         lam = float(lam)
         expected = optimal_threshold(REF, lam)
-        hint = expected.threshold if expected.is_finite else 120
-        cfg = OracleConfig(state_cap=_tail_cap(REF, int(hint), 1e-12, 10), tolerance=1e-10)
+        hint = int(min(expected.threshold, 120))  # never jamming is sized as threshold 120
+        cfg = OracleConfig(state_cap=_tail_cap(REF, hint, 1e-12, 10), tolerance=1e-10)
         result = relative_value_iteration(REF, lam, cfg)
         extracted = extract_threshold(result)  # raises if non-monotone
         assert extracted == expected, (lam, extracted, expected)
-        target = (
-            steady_reward(REF, expected.threshold, lam)
-            if expected.is_finite
-            else avg_eaoii_no_jam(REF)
-        )
-        worst_gain_gap = max(worst_gain_gap, abs(result.theta - target))
+        worst_gain_gap = max(worst_gain_gap, abs(result.theta - steady_reward(REF, expected, lam)))
     assert worst_gain_gap < 1e-6
     _report(
         4,

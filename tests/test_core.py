@@ -25,7 +25,7 @@ from aoii_jam.core import (
 )
 from aoii_jam.sim import single_trace
 
-from exact import ExactRewardCurve, exact_intersection, exact_lambda
+from exact import ExactRewardCurve, exact_avg_eaoii_no_jam, exact_intersection, exact_lambda
 
 REF = SubsystemParams(p=0.9, q=0.9, r=0.1)
 
@@ -96,7 +96,8 @@ class TestThresholdPolicy:
         trace = single_trace(SubsystemParams(0.3, 0.5, 0.1), policy, 2_000, seed=1)
         assert trace["age_index"].max() >= 5
         assert not trace["jammed"].any()
-        assert repr(INFINITE) == "INFINITE"
+        assert INFINITE == math.inf
+        assert ThresholdPolicy(math.inf) == policy
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -106,6 +107,11 @@ class TestThresholdPolicy:
     def test_bools_rejected(self, flag):
         with pytest.raises(ValueError, match="natural number or INFINITE"):
             ThresholdPolicy(flag)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, 1.5, 2.0, np.float64(3.0)])
+    def test_floats_other_than_infinity_rejected(self, value):
+        with pytest.raises(ValueError, match="natural number or INFINITE"):
+            ThresholdPolicy(value)
 
 
 class TestEaoiiValue:
@@ -185,11 +191,16 @@ class TestStationaryPmf:
         params = SubsystemParams(0.5, 0.0, 0.1)
         assert stationary_pmf(params, 5, 3) == pytest.approx(0.5 * 0.5**3, rel=1e-14)
 
-    def test_rejects_infinite(self):
-        with pytest.raises(ValueError):
-            stationary_pmf(REF, INFINITE, 0)
-        with pytest.raises(ValueError):
-            stationary_pmf(REF, ThresholdPolicy(INFINITE), 0)
+    @settings(max_examples=60, deadline=None)
+    @given(params=params_st)
+    def test_infinite_is_the_never_jam_law(self, params):
+        # No jammed mass is left at n = infinity, whatever q: p (1-p)^i
+        # (abs covers subnormals, where the two routes round differently).
+        ages = np.arange(300)
+        geometric = params.p * (1.0 - params.p) ** ages.astype(float)
+        for n in (INFINITE, ThresholdPolicy(INFINITE)):
+            assert stationary_pmf(params, n, ages) == pytest.approx(geometric, rel=1e-12, abs=1e-300)
+            assert stationary_pmf(params, n, 7) == pytest.approx(geometric[7], rel=1e-12, abs=1e-300)
 
     def test_accepts_policy_object(self):
         assert stationary_pmf(REF, ThresholdPolicy(2), 0) == stationary_pmf(REF, 2, 0)
@@ -197,13 +208,13 @@ class TestStationaryPmf:
     def test_no_jam_law(self):
         # Without jamming power every threshold gives the geometric law p(1-p)^i.
         params = SubsystemParams(0.9, 0.0, 0.1)
-        for n in (0, 3):
+        for n in (0, 3, INFINITE):
             law = stationary_pmf(params, n, np.arange(300))
             assert law == pytest.approx([0.9 * 0.1**i for i in range(300)], rel=1e-12, abs=0.0)
             assert law.sum() == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
-    @given(params=params_st, n=st.integers(0, 50))
+    @given(params=params_st, n=st.one_of(st.integers(0, 50), st.just(INFINITE)))
     def test_array_matches_scalars(self, params, n):
         # Each of the two powers may differ from the scalar route by 1 ULP
         # (numpy's vector pow), so their product by a few (measured: 3).
@@ -236,9 +247,23 @@ class TestAverages:
         params = SubsystemParams(0.9, 0.0, 0.1)
         brute_s, _ = brute_avg(params, 0)
         assert brute_s == pytest.approx(0.011944577161968, rel=1e-10)
-        for n in (0, 3, 17):
+        for n in (0, 3, 17, INFINITE):
             assert avg_eaoii_closed(params, n) == pytest.approx(brute_s, rel=1e-10)
         assert avg_eaoii_no_jam(params) == pytest.approx(brute_s, rel=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=params_st)
+    @example(params=SubsystemParams(1.0, 0.5, 0.3))  # exactly 0: the age never passes 0
+    @example(params=SubsystemParams(1.0 - 2**-40, 0.5, 0.02))
+    def test_no_jam_average_matches_exact_rationals(self, params):
+        # The threshold-infinity limit of the closed form is the no-jam
+        # average. Measured over 12,000 triples (p up to 1 - 1e-16, r from
+        # 0.02 to 0.5): relative error at most 1.7e-11 where the value is not
+        # small, and at most 1.1e-14 absolute beyond 1e-10 relative where the
+        # value vanishes as p -> 1.
+        exact = float(exact_avg_eaoii_no_jam(params))
+        assert avg_eaoii_closed(params, INFINITE) == pytest.approx(exact, rel=1e-10, abs=5e-14)
+        assert avg_eaoii_no_jam(params) == avg_eaoii_closed(params, INFINITE)
 
     def test_perfect_channel_pins_age(self):
         params = SubsystemParams(1.0, 0.0, 0.1)
@@ -253,6 +278,8 @@ class TestAverages:
 
     def test_aat_examples(self):
         assert avg_aat_closed(REF, 0) == 1.0
+        assert avg_aat_closed(REF, INFINITE) == 0.0
+        assert avg_aat_closed(SubsystemParams(0.5, 0.0, 0.1), INFINITE) == 0.0
         assert avg_aat_closed(SubsystemParams(0.5, 0.0, 0.1), 3) == pytest.approx(0.125, rel=1e-14)
         assert avg_aat_closed(REF, 2) == pytest.approx(0.01 / 0.109, rel=1e-12)
 
@@ -306,6 +333,12 @@ class TestLambdaSequence:
         assert np.all(np.diff(seq[:200]) > 0)
         assert seq[-1] == limit
 
+    @settings(max_examples=60, deadline=None)
+    @given(params=params_st)
+    def test_limit_is_the_value_at_infinity(self, params):
+        assert lambda_seq(params, INFINITE) == lambda_limit(params)
+        assert lambda_seq(params, ThresholdPolicy(INFINITE)) == lambda_limit(params)
+
     def test_limit_value(self):
         assert lambda_limit(REF) == pytest.approx(4.489249880554228, rel=1e-12)
         assert float(lambda_seq(REF, np.arange(10_001)).max()) == pytest.approx(
@@ -338,6 +371,9 @@ class TestIntersectionLambda:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             intersection_lambda(REF, 3, 3)
+        for n in (5, np.array([5, 6])):  # no threshold lies above INFINITE
+            with pytest.raises(ValueError, match="must be an integer"):
+                intersection_lambda(REF, INFINITE, n)
 
 
 class TestOptimalThreshold:
@@ -473,6 +509,11 @@ class TestSteadyReward:
             eps = 1e-6 * tie
             assert steady_reward(REF, n, tie - eps) >= steady_reward(REF, n + 1, tie - eps)
             assert steady_reward(REF, n, tie + eps) < steady_reward(REF, n + 1, tie + eps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=params_st, lam=st.floats(0.0, 1e6))
+    def test_never_jamming_earns_the_no_jam_average_at_every_cost(self, params, lam):
+        assert steady_reward(params, INFINITE, lam) == avg_eaoii_no_jam(params)
 
     def test_large_threshold_approaches_no_jam_average(self):
         assert steady_reward(REF, 400, 5.0) == pytest.approx(

@@ -308,7 +308,7 @@ class TestTailCap:
         assert len(cases) == 32
         for params, lam in cases:
             expected = optimal_threshold(params, lam)
-            cap = _tail_cap(params, expected.threshold if expected.is_finite else 120, 1e-12, 10)
+            cap = _tail_cap(params, int(min(expected.threshold, 120)), 1e-12, 10)
             cut, doubled = (relative_value_iteration(params, lam, OracleConfig(size, 1e-10))
                             for size in (cap, 2 * cap))
             assert extract_threshold(cut) == extract_threshold(doubled) == expected

@@ -202,7 +202,7 @@ class TestSingleSource:
             if isinstance(policy, RandomJam):
                 jam = bool(jams[t])
             else:
-                jam = policy.is_finite and state.age_index >= policy.threshold
+                jam = state.age_index >= policy.threshold
             ages.append(state.age_index)
             aoiis.append(state.true_aoii)
             jammed.append(jam)

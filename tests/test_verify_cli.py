@@ -18,7 +18,7 @@ import aoii_jam.core as core_mod
 import aoii_jam.oracle as oracle_mod
 import aoii_jam.whittle as whittle_mod
 from aoii_jam.cli import main
-from aoii_jam.core import SubsystemParams, avg_eaoii_no_jam, lambda_limit, steady_reward
+from aoii_jam.core import INFINITE, SubsystemParams, avg_eaoii_no_jam, lambda_limit, steady_reward
 import aoii_jam.verify as verify_mod
 from aoii_jam.verify import CHECKS, default_grid, run_checks
 from reference import render_table
@@ -496,6 +496,34 @@ class TestCliCommands:
         assert len(grid) == 1_000_001
         assert peak <= 24 * len(grid)
 
+    @pytest.mark.parametrize("lo,hi,step,count", [
+        (0.0, 10.0, 0.001, 10_001), (0.1, 0.3, 0.1, 3), (0.0, 9.99999, 1e-5, 1_000_000),
+        (0.0, 14.0, 1e-4, 140_001), (0.0, 1.0, 0.6, 2), (0.0, 1.0, 0.3, 4), (0.5, 0.5, 0.1, 1)])
+    def test_lambda_grid_takes_every_whole_step_within_the_maximum(self, lo, hi, step, count):
+        # A range of a whole number of steps keeps its last point, float noise
+        # in the quotient (0.2 / 0.1 = 1.9999999999999998) included; any other
+        # range stops at its last whole step.
+        grid = cli_mod._lambda_grid({"lambda-min": lo, "lambda-max": hi, "lambda-step": step,
+                                     "full": True})
+        assert len(grid) == count
+        assert grid[0] == lo and grid[-1] <= hi + 1e-9 * (hi - lo) + 4 * np.spacing(hi)
+        assert lo + step * count > hi
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.floats(0.0, 10.0), span=st.floats(0.0, 10.0), step=st.floats(1e-3, 5.0))
+    def test_lambda_grid_never_passes_the_maximum(self, lo, span, step):
+        hi = lo + span
+        grid = cli_mod._lambda_grid({"lambda-min": lo, "lambda-max": hi, "lambda-step": step,
+                                     "full": True})
+        assert grid[-1] <= hi + 1e-9 * (hi - lo) + 4 * np.spacing(hi)
+        assert lo + step * len(grid) > hi - 1e-9 * (hi - lo)
+
+    def test_threshold_curve_stops_at_the_maximum(self, capsys):
+        assert run_cli("threshold-curve", "--params", "0.9,0.9,0.1", "--lambda-max", "1",
+                       "--lambda-step", "0.6", "--full") == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+        assert rows == ["lambda,threshold_n", "0,0", "0.59999999999999998,0"]
+
     def test_threshold_column_is_one_array(self):
         # The column is one object array, 8 B a point; the cost checks hold
         # 1 B a point more. A per-point policy list beside it would cost 8 more.
@@ -703,8 +731,8 @@ class TestTableWriter:
         assert peak("csv") > 20
 
     def test_sweep_rewards_are_the_per_point_formulas(self, tmp_path):
-        # Each closed-form reward is the old per-row value: steady_reward at
-        # the point's threshold, or the no-jam EAoII once the threshold is INF.
+        # Each closed-form reward is steady_reward at the point's threshold,
+        # INFINITE in INF cells, where it is the no-jam EAoII at every cost.
         params = SubsystemParams(0.9, 0.9, 0.1)
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep-lambda", "--params", "0.9,0.9,0.1", "--lambda-max", "6",
@@ -716,9 +744,10 @@ class TestTableWriter:
         cells = {row[4] for row in rows}
         assert "INF" in cells and len(cells) > 10
         for lam, closed, _, _, cell in rows:
-            expected = (avg_eaoii_no_jam(params) if cell == "INF"
-                        else steady_reward(params, int(cell), float(lam)))
-            assert float(closed) == expected
+            threshold = INFINITE if cell == "INF" else int(cell)
+            assert float(closed) == steady_reward(params, threshold, float(lam))
+            if cell == "INF":
+                assert float(closed) == avg_eaoii_no_jam(params)
 
     def test_whittle_table_over_the_row_cap_exits_before_building(self, tmp_path, monkeypatch,
                                                                   capsys):
