@@ -1,10 +1,10 @@
 """Command-line harness: verification suite, experiment sweeps, ad-hoc runs.
 
 Subcommands: verify | sweep-lambda | threshold-curve | multi-sim |
-whittle-table | sim. Output is CSV (default) or JSON; leading ``#``
-comment lines echo the resolved configuration so every file documents how
-it was produced. All commands are deterministic for a fixed configuration
-and seed: no timestamps, floats printed with 17 significant digits.
+whittle-table | sim. Output is CSV (default) or JSON, only JSON for
+``verify``; leading ``#`` lines echo the resolved configuration so every
+file documents how it was produced. All commands are deterministic for a
+fixed configuration and seed: no timestamps, floats to 17 significant digits.
 
 Every option of every subcommand is declared once in ``OPTIONS``. A value
 comes from its flag, else from the same key of the ``--config`` JSON
@@ -490,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(command, help=handler.__doc__)
         sub.add_argument("--config", help="JSON config file; flags override its values")
         sub.add_argument("--out", help="output file (default stdout)")
-        sub.add_argument("--format", choices=("csv", "json"), default="csv")
+        if command != "verify":  # verify writes its JSON report whatever the format
+            sub.add_argument("--format", choices=("csv", "json"), default="csv")
         for name, (_, _, keywords) in options.items():
             sub.add_argument("--" + name, **keywords)
         if command == "sim":

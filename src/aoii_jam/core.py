@@ -60,7 +60,8 @@ class SubsystemParams:
     can only grow, so no stationary regime exists. p = 0 is rejected for the
     same reason (the age never resets). So is a triple whose 1/(2r),
     ``lambda_limit`` or ``lambda_seq(0)`` is not finite in floats, or whose
-    1 - p rounds to 1, where the pairwise tie ratios divide by 1 - (1-p)^d = 0.
+    1 - p rounds to 1, where the pairwise tie ratios divide by 1 - (1-p)^d = 0,
+    or whose 1 - r rounds to 1, where ``lambda_seq`` is 0 at every threshold.
     """
 
     p: float
@@ -75,7 +76,7 @@ class SubsystemParams:
         if not 0.0 < self.r <= 0.5:
             raise ValueError(f"r must be in (0, 1/2], got {self.r}")
         try:  # a denominator such as r (1 - (1-r)(1-p)) can underflow to 0
-            finite = 1.0 - self.p < 1.0 and all(
+            finite = max(1.0 - self.p, 1.0 - self.r) < 1.0 and all(
                 map(math.isfinite, (0.5 / self.r, lambda_limit(self), lambda_seq(self, 0))))
         except ZeroDivisionError:
             finite = False
@@ -308,11 +309,12 @@ def intersection_lambda(params: SubsystemParams, m: int, n) -> float:
     analytically, so it stays accurate where the raw differences would lose
     every significant digit (both averages converge geometrically in the
     threshold). ``intersection_lambda(params, n, n+1) == lambda_seq(params, n)``.
-    Accepts a scalar or numpy array for ``n``.
+    Accepts a scalar or numpy array for ``n``; every entry must exceed m.
     """
     m = _natural(m, "threshold")  # finite, as m < n
-    if not isinstance(n, np.ndarray) and n <= m:
-        raise ValueError(f"need n > m, got m={m}, n={n}")
+    low = n[n <= m] if isinstance(n, np.ndarray) else [n] if n <= m else []
+    if len(low):
+        raise ValueError(f"need n > m, got m={m}, n={low[0]}")
     a = 1.0 - params.p
     d = n - m
     powers = [((a * beta) ** d, beta**d) for beta in (1.0 - params.r, 1.0 - 2.0 * params.r)]

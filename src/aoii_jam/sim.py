@@ -37,7 +37,7 @@ from .core import SubsystemParams, ThresholdPolicy, _check_cost, delivery_probab
 from .whittle import FleetConfig, jam_mask, rank_keys, whittle_table_closed
 
 __all__ = [
-    "RandomJam", "WhittleJam", "RandomMultiJam", "PolicySpec", "SubsystemStats", "SimStats",
+    "RandomJam", "WhittleJam", "RandomMultiJam", "SubsystemStats", "SimStats",
     "simulate_single", "single_trace", "summarize_trace", "simulate_multi_batch", "standard_error",
 ]
 
@@ -76,12 +76,8 @@ class RandomMultiJam:
     """Jam fleet-budget channels chosen uniformly at random each slot."""
 
 
-PolicySpec = ThresholdPolicy | RandomJam | WhittleJam | RandomMultiJam
-
-
 @dataclass(frozen=True)
 class SubsystemStats:
-    subsystem_id: int
     avg_eaoii: float
     avg_true_aoii: float
     avg_aat: float
@@ -93,7 +89,7 @@ class SimStats:
 
     Every average is a sum over the run divided by ``slots`` times the
     channels (one for a single source), so a fleet's is per channel and slot;
-    ``per_subsystem`` holds each channel's averages, in every run. The reward
+    ``per_subsystem[i]`` holds channel i's averages, in every run. The reward
     is derived from the EAoII and jam sums: EAoII minus ``lam`` (0 for a
     fleet) per jam. Standard errors come from batch means: the run is cut
     into ``B = min(100, slots // 2)`` batches of ``slots // B`` consecutive
@@ -259,7 +255,7 @@ def _draw_lane(lane, out) -> None:
 
 
 def single_trace(
-    params: SubsystemParams, policy: PolicySpec, horizon: int, seed: int
+    params: SubsystemParams, policy: ThresholdPolicy | RandomJam, horizon: int, seed: int
 ) -> dict[str, np.ndarray]:
     """Raw per-slot record of a single-source run.
 
@@ -307,8 +303,7 @@ def _sim_stats(totals, slots, seed, lam) -> SimStats:
                             for x in (channel_sums.sum(axis=1, keepdims=True), batch_sums))
     averages = run_sums / (slots * channels)
     errors = [standard_error(x) for x in batch_sums / (_batch_layout(slots)[1] * channels)]
-    per_channel = enumerate((channel_sums.T / slots).tolist())
-    per_subsystem = tuple(SubsystemStats(i, *v) for i, v in per_channel)
+    per_subsystem = tuple(SubsystemStats(*v) for v in (channel_sums.T / slots).tolist())
     return SimStats(slots, seed, lam, *averages.ravel().tolist(), *errors, per_subsystem)
 
 
@@ -330,7 +325,7 @@ def summarize_trace(
 
 
 def simulate_single(
-    params: SubsystemParams, policy: PolicySpec, lam: float, horizon: int, seed: int
+    params: SubsystemParams, policy: ThresholdPolicy | RandomJam, lam: float, horizon: int, seed: int
 ) -> SimStats:
     """Simulate one source for ``horizon`` slots under a single-source policy.
 
@@ -384,7 +379,7 @@ def _index_masks(masks, maybe, toggle, lookup, flat_keys, extremes, base, budget
 
 
 def simulate_multi_batch(
-    fleet: FleetConfig, policy: PolicySpec, horizon: int, seeds: list[int]
+    fleet: FleetConfig, policy: WhittleJam | RandomMultiJam, horizon: int, seeds: list[int]
 ) -> list[SimStats]:
     """Simulate the fleet once per seed, sharing the vectorized slot loop.
 
@@ -418,8 +413,7 @@ def simulate_multi_batch(
     n_sub, budget = fleet.size, fleet.budget
     looped = isinstance(policy, WhittleJam) and budget > 0
 
-    classes = list(dict.fromkeys(fleet.subsystems))
-    of_class = np.array([classes.index(params) for params in fleet.subsystems])
+    classes, of_class = fleet.classes
     col = np.arange(n_sub)
     lanes = [_lane(seed, fleet.subsystems) for seed in seeds]
     carries = [_start_carry(n_sub) for _ in seeds]

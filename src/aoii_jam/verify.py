@@ -362,7 +362,7 @@ def check_select_jam_set(grid) -> Iterator[tuple[float, dict]]:
     """The fleet simulator's selection, per-kind ranks plus the channel, equals ``select_jam_set``.
 
     Channels draw (params, age) from small pools, so equal index values,
-    and with them the lower-id tie-break, occur in most fleets.
+    and with them the tie to the lower channel, occur in most fleets.
     """
     rng = np.random.default_rng(7)
     pool = [params for params in grid if params.q > 0.0]
@@ -370,19 +370,14 @@ def check_select_jam_set(grid) -> Iterator[tuple[float, dict]]:
         size = int(rng.integers(1, 13))
         kinds = [pool[int(i)] for i in rng.integers(0, len(pool), size=3)]
         of_kind = rng.integers(0, 3, size=size)
-        channel_params = [kinds[int(i)] for i in of_kind]
         ages = rng.integers(0, 6, size=(4, size))
-        budget = int(rng.integers(0, size + 1))
+        fleet = whittle.FleetConfig(tuple(kinds[int(i)] for i in of_kind), int(rng.integers(0, size)))
         ranks = whittle.rank_keys(np.array([whittle.whittle_table_closed(params, 5)
                                             for params in kinds]), size)
-        masks = whittle.jam_mask(ranks[of_kind, ages] + np.arange(size), budget)
+        masks = whittle.jam_mask(ranks[of_kind, ages] + np.arange(size), fleet.budget)
         for lane, mask in zip(ages, masks):
-            fleet = [
-                whittle.SubsystemState(subsystem_id=i, params=params, age=int(age))
-                for i, (params, age) in enumerate(zip(channel_params, lane))
-            ]
-            if whittle.select_jam_set(fleet, budget) != set(np.flatnonzero(mask).tolist()):
-                yield math.inf, {"fleet_size": size, "budget": budget, "ages": lane.tolist()}
+            if whittle.select_jam_set(fleet, lane) != set(np.flatnonzero(mask).tolist()):
+                yield math.inf, {"fleet_size": size, "budget": fleet.budget, "ages": lane.tolist()}
 
 
 # name -> (reduced check, tolerance). This is the coverage inventory: the

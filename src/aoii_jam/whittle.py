@@ -18,7 +18,6 @@ import numpy as np
 from .core import SubsystemParams, _natural, _pairwise_ratio, avg_aat_closed, lambda_seq
 
 __all__ = [
-    "SubsystemState",
     "FleetConfig",
     "IndexStructureError",
     "whittle_table_closed",
@@ -44,20 +43,8 @@ class IndexStructureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SubsystemState:
-    """One channel of a fleet: identity, parameters, and current age."""
-
-    subsystem_id: int
-    params: SubsystemParams
-    age: int
-
-    def __post_init__(self):
-        _natural(self.age, "age index")
-
-
-@dataclass(frozen=True)
 class FleetConfig:
-    """Immutable fleet description: per-channel parameters and jam budget."""
+    """Immutable fleet description: each channel's parameters, by position, and the jam budget."""
 
     subsystems: tuple[SubsystemParams, ...]
     budget: int
@@ -73,6 +60,12 @@ class FleetConfig:
     @property
     def size(self) -> int:
         return len(self.subsystems)
+
+    @property
+    def classes(self) -> tuple[tuple[SubsystemParams, ...], np.ndarray]:
+        """The distinct triples in first-appearance order, and each channel's index among them."""
+        classes = tuple(dict.fromkeys(self.subsystems))
+        return classes, np.array([classes.index(params) for params in self.subsystems])
 
     @classmethod
     def from_classes(
@@ -179,30 +172,21 @@ def indexability_check(params: SubsystemParams, n_max: int) -> bool:
     return not np.any((step > 0.0) | ((step == 0.0) & (aat[:-1] > 0.0)))
 
 
-def select_jam_set(fleet: list[SubsystemState], budget: int) -> set[int]:
-    """Ids of the ``budget`` channels with the highest current indices.
+def select_jam_set(fleet: FleetConfig, ages) -> set[int]:
+    """Positions of the ``fleet.budget`` channels with the highest indices at ``ages``.
 
-    A budget below 0 or above the fleet size, or a repeated id, raises.
-    Ties break toward the lower subsystem id so replays are deterministic.
-    The indices are read as the fleet simulator reads them, from one
-    ``lambda_seq`` age array per distinct ``params``: a scalar age may
-    differ from the array value in the last place.
+    ``ages`` holds one natural number per channel. As in the fleet simulator,
+    ties go to the lower channel and the indices are read from one ``lambda_seq``
+    age array per class of ``fleet.classes``: a scalar age may differ in the last place.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    ids = [sub.subsystem_id for sub in fleet]
-    if len(set(ids)) != len(ids):
-        raise ValueError("subsystem ids must be unique within a fleet")
-    if budget > len(fleet):
-        raise ValueError(f"budget {budget} exceeds fleet size {len(fleet)}")
-    members = {}
-    for i, sub in enumerate(fleet):
-        members.setdefault(sub.params, []).append(i)
-    index = np.empty(len(fleet))
-    for params, channels in members.items():
-        index[channels] = lambda_seq(params, np.array([fleet[i].age for i in channels]))
-    ranked = sorted(range(len(fleet)), key=lambda i: (-index[i], ids[i]))
-    return {ids[i] for i in ranked[:budget]}
+    if len(ages) != fleet.size:
+        raise ValueError(f"need {fleet.size} ages, one per channel, got {len(ages)}")
+    ages = np.array([_natural(age, "age index") for age in ages])
+    classes, of_class = fleet.classes
+    index = np.empty(fleet.size)
+    for c, params in enumerate(classes):
+        index[of_class == c] = lambda_seq(params, ages[of_class == c])
+    return set(sorted(range(fleet.size), key=lambda i: (-index[i], i))[:fleet.budget])
 
 
 def rank_keys(tables: np.ndarray, channels: int) -> np.ndarray:

@@ -57,12 +57,18 @@ class TestParams:
     def test_edges_accepted(self):
         SubsystemParams(p=1.0, q=0.0, r=0.5)
         SubsystemParams(p=0.01, q=0.99, r=0.01)
-        SubsystemParams(p=0.5, q=0.5, r=1e-300)
+        SubsystemParams(p=0.5, q=0.5, r=1e-16)  # 1 - r is below 1
 
     @pytest.mark.parametrize("p,q,r", [(0.5, 0.5, 5e-324), (1e-200, 0.5, 1e-200)])
     def test_underflowing_closed_forms_rejected(self, p, q, r):
         with pytest.raises(ValueError, match="the closed forms are not finite"):
             SubsystemParams(p=p, q=q, r=r)
+
+    @pytest.mark.parametrize("r", [1e-17, 5.5e-17, 1e-300, 5e-324])
+    def test_r_whose_one_minus_r_rounds_to_one_rejected(self, r):
+        # Every power of 1 - r is 1.0: lambda_seq would be 0 at every threshold.
+        with pytest.raises(ValueError, match=f"^p=0.5, q=0.5, r={r}: the closed forms are not finite$"):
+            SubsystemParams(p=0.5, q=0.5, r=r)
 
     tiny = st.one_of(st.floats(5e-324, 1e-290), st.floats(1e-290, 1e-12), st.floats(1e-12, 0.5))
 
@@ -371,6 +377,10 @@ class TestIntersectionLambda:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             intersection_lambda(REF, 3, 3)
+        # Every array entry at or below m is refused, with the scalar's message.
+        for n, low in ((np.array([1, 3, 5]), 1), (np.array([4, 3]), 3), (1, 1)):
+            with pytest.raises(ValueError, match=f"^need n > m, got m=3, n={low}$"):
+                intersection_lambda(REF, 3, n)
         for n in (5, np.array([5, 6])):  # no threshold lies above INFINITE
             with pytest.raises(ValueError, match="must be an integer"):
                 intersection_lambda(REF, INFINITE, n)

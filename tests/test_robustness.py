@@ -29,10 +29,11 @@ def test_non_finite_cost_rejected(name, lam):
 
 def test_package_has_no_assert_statements():
     # Invariants must hold under ``python -O``, which strips assert statements.
-    found = []
-    for path in sorted(pathlib.Path(aoii_jam.__file__).parent.glob("*.py")):
+    # Every module under the package is parsed, subpackages included.
+    found, root = [], pathlib.Path(aoii_jam.__file__).parent
+    for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+        found += [f"{path.relative_to(root)}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
 

@@ -28,7 +28,7 @@ from aoii_jam.sim import (
     single_trace,
     summarize_trace,
 )
-from aoii_jam.whittle import FleetConfig, SubsystemState, select_jam_set, whittle_table_closed
+from aoii_jam.whittle import FleetConfig, select_jam_set, whittle_table_closed
 from reference import (
     GroundTruthState,
     index_masks_per_slot,
@@ -560,9 +560,31 @@ class TestMultiSource:
             lane_masks = np.concatenate(masks[lane::len(seeds)])
             assert len(lane_ages) == len(lane_masks) == horizon
             for slot, (age, mask) in enumerate(zip(lane_ages.tolist(), lane_masks)):
-                states = [SubsystemState(i, p, a) for i, (p, a) in enumerate(zip(subsystems, age))]
-                assert set(np.flatnonzero(mask).tolist()) == select_jam_set(states, budget), (
+                assert set(np.flatnonzero(mask).tolist()) == select_jam_set(fleet, age), (
                     lane, slot, age)
+
+    def test_ranks_the_fleets_classes(self, monkeypatch):
+        # Interleaved classes: the run reads FleetConfig.classes once, and its
+        # index table rows are those classes, in first-appearance order.
+        slow, fast = TWO_CLASS.subsystems[0], TWO_CLASS.subsystems[-1]
+        fleet = FleetConfig((fast, REF, fast, slow, REF), 2)
+        real_classes, reads, tables = FleetConfig.classes, [], []
+
+        def classes(self):
+            reads.append(self)
+            return real_classes.fget(self)
+
+        def rank_keys(table, channels):
+            tables.append(table)
+            return real_rank_keys(table, channels)
+
+        real_rank_keys = sim_mod.rank_keys
+        monkeypatch.setattr(FleetConfig, "classes", property(classes))
+        monkeypatch.setattr(sim_mod, "rank_keys", rank_keys)
+        simulate_multi_batch(fleet, WhittleJam(), 100, [0, 1])
+        assert reads == [fleet] and fleet.classes[0] == (fast, REF, slow)
+        width = tables[0].shape[1]
+        assert np.array_equal(tables[0], [whittle_table_closed(c, width - 1) for c in (fast, REF, slow)])
 
     def test_eaoii_read_at_the_true_age(self):
         # A channel that delivers with probability 1e-9 does not deliver in
@@ -672,8 +694,8 @@ class TestMultiSource:
 
     def test_identical_fleet_tie_break_favors_low_ids(self):
         # Jam the three highest ages each slot; with identical parameters the
-        # deterministic low-id tie-break makes attack time non-increasing in
-        # the subsystem id, while the fleet total stays pinned at M/N.
+        # deterministic tie to the lower channel makes attack time
+        # non-increasing in the channel, while the fleet total stays pinned at M/N.
         fleet = FleetConfig(subsystems=(REF,) * 4, budget=3)
         stats = simulate_multi_batch(fleet, WhittleJam(), 40_000, [5])[0]
         assert stats.avg_aat == pytest.approx(0.75, abs=1e-12)

@@ -171,11 +171,11 @@ class TestVerifySuite:
             masks.extend(out)
             return out
 
-        def recorded(fleet, budget):
-            chosen = real_select(fleet, budget)
+        def recorded(fleet, ages):
+            chosen = real_select(fleet, ages)
             expected = set(np.flatnonzero(masks[len(cases)]).tolist())
-            cases.append(({"fleet_size": len(fleet), "budget": budget,
-                           "ages": [channel.age for channel in fleet]}, chosen != expected))
+            cases.append(({"fleet_size": fleet.size, "budget": fleet.budget,
+                           "ages": np.asarray(ages).tolist()}, chosen != expected))
             return chosen
 
         monkeypatch.setattr(whittle_mod, "jam_mask", tie_to_higher)
@@ -229,6 +229,18 @@ class TestCliCommands:
         assert code == 1
         report = json.loads(out.read_text())
         assert not report["passed"]
+
+    def test_verify_takes_no_format(self, tmp_path, capsys):
+        # verify always writes its JSON report, so it has no --format to ignore.
+        out = tmp_path / "report.json"
+        for fmt in ("csv", "json"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("verify", "--checks", "kernel_stochastic", "--format", fmt, "--out", str(out))
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: --format {fmt}" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli("whittle-table", "--params", "0.9,0.9,0.1", "--k-max", "2",
+                       "--format", "json", "--out", str(out)) == 0
 
     def test_sweep_lambda_schema_and_decimation(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -442,6 +454,15 @@ class TestCliCommands:
         message = "p=1e-17, q=0.5, r=0.1: the closed forms are not finite"
         assert capsys.readouterr().err.splitlines() == [
             f"error: --params: {message}", f"error: --classes: {message}", f"error: --params: {message}"]
+
+    def test_params_whose_one_minus_r_rounds_to_one(self, capsys):
+        # 1 - 1e-17 is 1.0 in floats, so lambda_seq is 0 at every threshold and
+        # the threshold search would gallop until a power overflows: the triple
+        # is refused when it is parsed, by name.
+        assert run_cli("threshold-curve", "--params", "0.5,0.5,1e-17", "--lambda-max", "1",
+                       "--lambda-step", "0.5", "--full") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --params: p=0.5, q=0.5, r=1e-17: the closed forms are not finite"]
 
     def test_horizon_over_cap_exits_before_drawing(self, tmp_path, capsys):
         # 10^12 slots of uniforms would not fit in memory, so exit 2 with one

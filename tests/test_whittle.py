@@ -17,7 +17,6 @@ from aoii_jam.verify import default_grid
 from aoii_jam.whittle import (
     FleetConfig,
     IndexStructureError,
-    SubsystemState,
     indexability_check,
     jam_mask,
     rank_keys,
@@ -189,69 +188,51 @@ class TestPairwiseTieFloor:
                 assert np.all(ratios >= base - 1e-12 * max(1.0, base))
 
 
-class TestSubsystemState:
+class TestSelectJamSet:
     @pytest.mark.parametrize("age", [2.5, True, np.True_, -1, "3"])
-    def test_bad_ages_rejected_at_construction(self, age):
+    def test_bad_ages_rejected(self, age):
         with pytest.raises(ValueError, match="age index"):
-            SubsystemState(0, REF, age)
+            select_jam_set(FleetConfig((REF, REF), 1), [2, age])
 
     def test_integer_ages_accepted(self):
-        assert SubsystemState(0, REF, np.int64(3)).age == 3
-        assert select_jam_set([SubsystemState(0, REF, np.int64(3)), SubsystemState(1, REF, 2)],
-                              1) == {0}
+        assert select_jam_set(FleetConfig((REF, REF), 1), [np.int64(3), 2]) == {0}
+        assert select_jam_set(FleetConfig((REF, REF), 1), np.array([2, 3])) == {1}
 
+    @pytest.mark.parametrize("ages", [[1], [1, 2, 3]])
+    def test_one_age_per_channel(self, ages):
+        with pytest.raises(ValueError, match="^need 2 ages, one per channel, got "):
+            select_jam_set(FleetConfig((REF, REF), 1), ages)
 
-class TestSelectJamSet:
     def test_empty_budget(self):
-        fleet = [SubsystemState(0, REF, 4), SubsystemState(1, REF, 9)]
-        assert select_jam_set(fleet, 0) == set()
+        assert select_jam_set(FleetConfig((REF, REF), 0), [4, 9]) == set()
 
     def test_higher_age_wins(self):
-        fleet = [SubsystemState(0, REF, 3), SubsystemState(1, REF, 7)]
-        assert select_jam_set(fleet, 1) == {1}
+        assert select_jam_set(FleetConfig((REF, REF), 1), [3, 7]) == {1}
 
-    def test_tie_breaks_to_lower_id(self):
-        fleet = [SubsystemState(3, REF, 5), SubsystemState(1, REF, 5)]
-        assert select_jam_set(fleet, 1) == {1}
-
-    def test_duplicate_ids_rejected(self):
-        fleet = [SubsystemState(0, REF, 1), SubsystemState(0, REF, 2)]
-        with pytest.raises(ValueError):
-            select_jam_set(fleet, 1)
-
-    def test_budget_above_fleet_rejected(self):
-        with pytest.raises(ValueError):
-            select_jam_set([SubsystemState(0, REF, 1)], 2)
+    def test_ties_go_to_the_lower_channel(self):
+        assert select_jam_set(FleetConfig((REF,) * 4, 2), [3, 5, 5, 5]) == {1, 2}
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_matches_sorted_prefix(self, data):
         size = data.draw(st.integers(1, 12))
         pool = [REF, CLASS_SLOW, CLASS_FAST]
-        fleet = [
-            SubsystemState(
-                subsystem_id=i,
-                params=pool[data.draw(st.integers(0, 2))],
-                age=data.draw(st.integers(0, 40)),
-            )
-            for i in range(size)
-        ]
-        budget = data.draw(st.integers(0, size))
-        ranked = sorted(
-            fleet,
-            key=lambda s: (-whittle_table_closed(s.params, 40)[s.age], s.subsystem_id),
-        )
-        assert select_jam_set(fleet, budget) == {s.subsystem_id for s in ranked[:budget]}
+        subsystems = [pool[data.draw(st.integers(0, 2))] for _ in range(size)]
+        ages = [data.draw(st.integers(0, 40)) for _ in range(size)]
+        budget = data.draw(st.integers(0, size - 1))
+        ranked = sorted(range(size),
+                        key=lambda i: (-whittle_table_closed(subsystems[i], 40)[ages[i]], i))
+        assert select_jam_set(FleetConfig(tuple(subsystems), budget), ages) == set(ranked[:budget])
 
     def test_ranks_by_the_array_index(self):
         # At age 0 of (0.2, 0.3, 0.1) the scalar index lies one ulp above the
         # array value, and (0.2, q, 0.1) at age 1 has exactly that array value.
-        # Read as arrays the two tie and the lower id wins, as in the fleet
+        # Read as arrays the two tie and the lower channel wins, as in the fleet
         # simulator's rank_keys/jam_mask route; read as scalars channel 1 wins.
         low = SubsystemParams(0.2, 0.17105951007381248, 0.1)
         high = SubsystemParams(0.2, 0.3, 0.1)
         assert lambda_seq(high, 0) > whittle_table_closed(high, 0)[0] == whittle_table_closed(low, 1)[1]
-        assert select_jam_set([SubsystemState(0, low, 1), SubsystemState(1, high, 0)], 1) == {0}
+        assert select_jam_set(FleetConfig((low, high), 1), [1, 0]) == {0}
         keys = rank_keys(np.array([whittle_table_closed(p, 1) for p in (low, high)]), 2)
         assert jam_mask(keys[[0, 1], [1, 0]] + np.arange(2), 1).tolist() == [True, False]
 
@@ -264,6 +245,14 @@ class TestFleetConfig:
             FleetConfig(subsystems=(REF, REF), budget=2)
         fleet = FleetConfig(subsystems=(REF, REF, CLASS_FAST, CLASS_SLOW), budget=2)
         assert (fleet.size, fleet.budget) == (4, 2)
+
+    def test_classes_in_first_appearance_order(self):
+        # Interleaved classes: each is named where it first appears.
+        fleet = FleetConfig((CLASS_FAST, REF, CLASS_FAST, CLASS_SLOW, REF), 2)
+        classes, of_class = fleet.classes
+        assert classes == (CLASS_FAST, REF, CLASS_SLOW)
+        assert of_class.tolist() == [0, 1, 0, 2, 1]
+        assert [classes[c] for c in of_class] == list(fleet.subsystems)
 
     def test_from_classes(self):
         fleet = FleetConfig.from_classes(
