@@ -175,6 +175,14 @@ def _classes(value) -> list[tuple[SubsystemParams, float]]:
     return classes
 
 
+def _distinct(values: list, what: str) -> list:
+    """``values``, refused if any repeats: a repeated entry repeats a run and its output row."""
+    repeated = sorted(value for value, count in Counter(values).items() if count > 1)
+    if repeated:
+        raise ValueError(f"expected distinct {what}, got {repeated} more than once")
+    return values
+
+
 def _int_list(value) -> list[int]:
     numbers = [int(x) for x in _text(value).split(",") if x != ""]
     if not numbers:
@@ -189,12 +197,7 @@ def _seed(value) -> int:
 
 
 def _seeds(value) -> list[int]:
-    """Distinct non-negative seeds: a repeated seed is a repeated run, not a new sample."""
-    seeds = [_seed(seed) for seed in _int_list(value)]
-    repeated = sorted(seed for seed, count in Counter(seeds).items() if count > 1)
-    if repeated:
-        raise ValueError(f"expected distinct seeds, got {repeated} more than once")
-    return seeds
+    return _distinct([_seed(seed) for seed in _int_list(value)], "seeds")
 
 
 def _m_rule(value) -> str:
@@ -213,7 +216,7 @@ def _method(value) -> str:
 
 
 def _checks(value) -> list[str]:
-    return [x for x in _text(value).split(",") if x]
+    return _distinct([x for x in _text(value).split(",") if x], "checks")
 
 
 # option -> (parser, default, argparse keywords); a REQUIRED option has no default.
@@ -241,7 +244,8 @@ OPTIONS = {
     "threshold-curve": {**_PARAMS, **_LAMBDA_RANGE},
     "multi-sim": {
         "classes": (_classes, REQUIRED, {"help": "p,q,r,fraction;p,q,r,fraction;..."}),
-        "n-list": (_int_list, "4,8,16,24,32,40", {"help": "fleet sizes, e.g. 4,8,16"}),
+        "n-list": (lambda value: _distinct(_int_list(value), "fleet sizes"), "4,8,16,24,32,40",
+                   {"help": "distinct fleet sizes, e.g. 4,8,16"}),
         "m-rule": (_m_rule, "half", {"help": "'half' or a fixed integer budget"}),
         "horizon": (_int, 100_000, _INT),
         "seeds": (_seeds, "0,1,2,3,4,5,6,7,8,9", {"help": "comma-separated distinct seeds"}),
@@ -327,6 +331,8 @@ def _lambda_grid(opts) -> np.ndarray:
     A range within 1e-9 of a whole number of steps counts as whole (float noise).
     """
     lo, hi, step = opts["lambda-min"], opts["lambda-max"], opts["lambda-step"]
+    if lo < 0:
+        raise ConfigError(f"--lambda-min must be >= 0, got {lo}")
     if step <= 0:
         raise ConfigError("lambda step must be positive")
     if hi < lo:

@@ -58,10 +58,10 @@ class SubsystemParams:
 
     q = 1 is rejected: with certain jamming the age above a finite threshold
     can only grow, so no stationary regime exists. p = 0 is rejected for the
-    same reason (the age never resets). So is a triple whose 1/(2r),
-    ``lambda_limit`` or ``lambda_seq(0)`` is not finite in floats, or whose
-    1 - p rounds to 1, where the pairwise tie ratios divide by 1 - (1-p)^d = 0,
-    or whose 1 - r rounds to 1, where ``lambda_seq`` is 0 at every threshold.
+    same reason (the age never resets). So is a triple whose 1 - p or 1 - r
+    rounds to 1: the pairwise tie ratios would divide by 1 - (1-p)^d = 0, or
+    ``lambda_seq`` be 0 at every threshold. Past these bounds, p and r above
+    2**-54, no closed-form denominator is below about 6e-33: all are finite.
     """
 
     p: float
@@ -75,12 +75,7 @@ class SubsystemParams:
             raise ValueError(f"q must be in [0, 1), got {self.q}")
         if not 0.0 < self.r <= 0.5:
             raise ValueError(f"r must be in (0, 1/2], got {self.r}")
-        try:  # a denominator such as r (1 - (1-r)(1-p)) can underflow to 0
-            finite = max(1.0 - self.p, 1.0 - self.r) < 1.0 and all(
-                map(math.isfinite, (0.5 / self.r, lambda_limit(self), lambda_seq(self, 0))))
-        except ZeroDivisionError:
-            finite = False
-        if not finite:
+        if max(1.0 - self.p, 1.0 - self.r) == 1.0:
             raise ValueError(f"p={self.p}, q={self.q}, r={self.r}: the closed forms are not finite")
 
 
@@ -162,7 +157,7 @@ def eaoii_value(params: SubsystemParams, k):
 
 def eaoii_ladder(params: SubsystemParams, size: int) -> np.ndarray:
     """Vector of s_k for k = 0 .. size-1."""
-    if size <= 0:
+    if _natural(size, "size") == 0:
         raise ValueError("size must be positive")
     return eaoii_value(params, np.arange(size))
 
@@ -309,9 +304,9 @@ def intersection_lambda(params: SubsystemParams, m: int, n) -> float:
     analytically, so it stays accurate where the raw differences would lose
     every significant digit (both averages converge geometrically in the
     threshold). ``intersection_lambda(params, n, n+1) == lambda_seq(params, n)``.
-    Accepts a scalar or numpy array for ``n``; every entry must exceed m.
+    ``n`` is a threshold, an integer array of them or INFINITE; every entry must exceed m.
     """
-    m = _natural(m, "threshold")  # finite, as m < n
+    m, n = _natural(m, "threshold"), _threshold(n)  # m is finite, as m < n
     low = n[n <= m] if isinstance(n, np.ndarray) else [n] if n <= m else []
     if len(low):
         raise ValueError(f"need n > m, got m={m}, n={low[0]}")

@@ -19,6 +19,7 @@ from .core import (
     SubsystemParams,
     ThresholdPolicy,
     _check_cost,
+    _natural,
     delivery_probability,
     eaoii_ladder,
     lambda_limit,
@@ -66,7 +67,7 @@ class OracleConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.state_cap < 10:
+        if _natural(self.state_cap, "state_cap") < 10:
             raise ValueError("state_cap must be >= 10")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
@@ -257,9 +258,7 @@ def brute_force_threshold(
     lams = np.asarray(lam, dtype=np.float64).reshape(-1)
     for cost in lams:
         _check_cost(float(cost))
-    limit = lambda_limit(params)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    limit, n_max = lambda_limit(params), _natural(n_max, "n_max")
     best = np.argmax(steady_reward(params, np.arange(n_max + 1), lams[:, None]), axis=1)
     edge = lams[(best == n_max) & (lams < limit)]
     if edge.size:

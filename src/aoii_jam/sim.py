@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SubsystemParams, ThresholdPolicy, _check_cost, delivery_probability, eaoii_ladder
+from .core import SubsystemParams, ThresholdPolicy, _check_cost, _natural, delivery_probability, eaoii_ladder
 from .whittle import FleetConfig, jam_mask, rank_keys, whittle_table_closed
 
 __all__ = [
@@ -127,7 +127,7 @@ def standard_error(values) -> float:
 
 def _check_run(horizon: int, channels: int = 1) -> None:
     """Refuse a run past the horizon or fleet-size cap, before anything is drawn."""
-    if horizon <= 0:
+    if _natural(horizon, "horizon") == 0:
         raise ValueError("horizon must be positive")
     if horizon > MAX_HORIZON:
         raise ValueError(f"horizon must be at most {MAX_HORIZON}, got {horizon}")
@@ -226,7 +226,7 @@ def _lane(seed: int, subsystems) -> tuple[list, np.random.Generator, np.ndarray]
     """A lane's channel streams and policy stream, the children of ``SeedSequence(seed)`` in
     that order, and per channel (r, p(1-q), p) as (channels, 1) columns."""
     *streams, policy = map(np.random.default_rng,
-                           np.random.SeedSequence(seed).spawn(len(subsystems) + 1))
+                           np.random.SeedSequence(_natural(seed, "seed")).spawn(len(subsystems) + 1))
     probs = np.array([(s.r, delivery_probability(s, True), s.p) for s in subsystems]).T
     return streams, policy, probs[:, :, None]
 

@@ -319,7 +319,7 @@ def check_pairwise_tie_floor(grid) -> Iterator[tuple[float, dict]]:
             continue
         for k in (0, 3, 10):
             base = core.lambda_seq(params, k)
-            ns = np.arange(k + 1, k + 61, dtype=np.float64)
+            ns = np.arange(k + 1, k + 61)
             ratios = core.intersection_lambda(params, k, ns)
             yield max(float(np.max(base - ratios)), 0.0), _witness(params, n=k)
 

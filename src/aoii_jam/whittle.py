@@ -52,7 +52,7 @@ class FleetConfig:
     def __post_init__(self):
         if len(self.subsystems) == 0:
             raise ValueError("fleet must contain at least one subsystem")
-        if not 0 <= self.budget < len(self.subsystems):
+        if not _natural(self.budget, "budget") < len(self.subsystems):
             raise ValueError(
                 f"budget must satisfy 0 <= M < N, got M={self.budget}, N={len(self.subsystems)}"
             )
@@ -76,6 +76,7 @@ class FleetConfig:
         Class sizes are round(fraction * n_total); a hard error if a fraction
         is outside [0, 1], NaN included, or the counts do not add up to n_total.
         """
+        n_total = _natural(n_total, "n_total")
         bad = [frac for _, frac in classes if not 0.0 <= frac <= 1.0]
         if bad:
             raise ValueError(f"class fraction {bad[0]} is not in [0, 1]")
@@ -93,9 +94,7 @@ class FleetConfig:
 
 def whittle_table_closed(params: SubsystemParams, n_max: int) -> np.ndarray:
     """Closed-form index table over ages 0 .. n_max: ``lambda_seq`` of the age array."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    return lambda_seq(params, np.arange(n_max + 1))
+    return lambda_seq(params, np.arange(_natural(n_max, "n_max") + 1))
 
 
 def whittle_index_iterative(params: SubsystemParams, n_max: int) -> np.ndarray:
@@ -115,9 +114,7 @@ def whittle_index_iterative(params: SubsystemParams, n_max: int) -> np.ndarray:
     Retained as a verification oracle for ``whittle_table_closed``; the
     closed form is what production callers use.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    bound = n_max + SCAN_MARGIN
+    bound = _natural(n_max, "n_max") + SCAN_MARGIN
     exponents = np.arange(1, bound + 1, dtype=np.float64)
     a = 1.0 - params.p
     powers = a**exponents
@@ -165,9 +162,7 @@ def indexability_check(params: SubsystemParams, n_max: int) -> bool:
     above 0 are unreachable without jamming), so a zero step is accepted
     after a zero. Read off ``avg_aat_closed`` of the thresholds 0 .. n_max.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    aat = avg_aat_closed(params, np.arange(n_max + 1))
+    aat = avg_aat_closed(params, np.arange(_natural(n_max, "n_max") + 1))
     step = np.diff(aat)
     return not np.any((step > 0.0) | ((step == 0.0) & (aat[:-1] > 0.0)))
 

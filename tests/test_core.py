@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aoii_jam import core
 from aoii_jam.core import (
     INFINITE,
     SubsystemParams,
@@ -28,6 +29,7 @@ from aoii_jam.sim import single_trace
 from exact import ExactRewardCurve, exact_avg_eaoii_no_jam, exact_intersection, exact_lambda
 
 REF = SubsystemParams(p=0.9, q=0.9, r=0.1)
+EDGE = float(np.nextafter(2**-54, 1))  # the smallest p or r whose 1 - p or 1 - r is below 1
 
 params_st = st.builds(
     SubsystemParams,
@@ -70,6 +72,16 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^p=0.5, q=0.5, r={r}: the closed forms are not finite$"):
             SubsystemParams(p=0.5, q=0.5, r=r)
 
+    def test_construction_evaluates_no_closed_form(self, monkeypatch):
+        # A triple is valid by its bounds alone.
+        def evaluated(*args):
+            pytest.fail("a closed form was evaluated to validate a triple")
+
+        monkeypatch.setattr(core, "lambda_limit", evaluated)
+        monkeypatch.setattr(core, "lambda_seq", evaluated)
+        for p, q, r in ((0.9, 0.9, 0.1), (1.0, 0.0, 0.5), (EDGE, 1 - 2**-53, EDGE)):
+            SubsystemParams(p=p, q=q, r=r)
+
     tiny = st.one_of(st.floats(5e-324, 1e-290), st.floats(1e-290, 1e-12), st.floats(1e-12, 0.5))
 
     @settings(max_examples=400, deadline=None)
@@ -78,6 +90,12 @@ class TestParams:
     @example(p=1e-200, q=0.5, r=1e-200)
     @example(p=5e-324, q=0.0, r=5e-324)
     @example(p=1e-17, q=0.5, r=0.1)  # 1 - p rounds to 1
+    # The rounding boundary: 1 - 2**-54 rounds to 1, 1 - EDGE does not.
+    @example(p=EDGE, q=1 - 2**-53, r=EDGE)
+    @example(p=EDGE, q=0.0, r=EDGE)
+    @example(p=2**-54, q=0.5, r=EDGE)
+    @example(p=EDGE, q=0.5, r=2**-54)
+    @example(p=1.0, q=1 - 2**-53, r=EDGE)
     def test_accepted_triples_have_finite_closed_forms(self, p, q, r):
         try:
             params = SubsystemParams(p=p, q=q, r=r)
@@ -85,7 +103,8 @@ class TestParams:
             assert "the closed forms are not finite" in str(exc)
             return
         for value in (lambda_limit(params), lambda_seq(params, 0), 1 / (2 * r),
-                      intersection_lambda(params, 0, 1)):
+                      intersection_lambda(params, 0, 1), avg_eaoii_closed(params, 0),
+                      avg_eaoii_no_jam(params)):
             assert math.isfinite(value), (params, value)
 
 

@@ -44,6 +44,8 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(state_cap=5)
+        with pytest.raises(ValueError, match="state_cap must be an integer"):
+            OracleConfig(state_cap=10.5)  # above the floor, but not a number of ages
         with pytest.raises(ValueError):
             OracleConfig(tolerance=0.0)
 

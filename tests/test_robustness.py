@@ -3,12 +3,16 @@ import importlib
 import pathlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import aoii_jam
-from aoii_jam.core import SubsystemParams, ThresholdPolicy, optimal_threshold
+from aoii_jam.core import (SubsystemParams, ThresholdPolicy, eaoii_ladder, intersection_lambda,
+                           optimal_threshold)
 from aoii_jam.oracle import OracleConfig, brute_force_threshold, relative_value_iteration
-from aoii_jam.sim import simulate_single
+from aoii_jam.sim import WhittleJam, simulate_multi_batch, simulate_single
+from aoii_jam.whittle import (FleetConfig, indexability_check, whittle_index_iterative,
+                              whittle_table_closed)
 
 REF = SubsystemParams(p=0.9, q=0.9, r=0.1)
 
@@ -25,6 +29,48 @@ COST_TAKERS = {
 def test_non_finite_cost_rejected(name, lam):
     with pytest.raises(ValueError, match="lam must be finite and >= 0"):
         COST_TAKERS[name](lam)
+
+
+def run_single(horizon, seed):
+    return simulate_single(REF, ThresholdPolicy(2), 0.0, horizon, seed)
+
+
+def run_fleet(horizon, seed):
+    return simulate_multi_batch(FleetConfig((REF, REF), 1), WhittleJam(), horizon, [seed])
+
+
+# Every integer argument of the public API: (its name, a call passing it, a valid value).
+INTEGER_TAKERS = {
+    "whittle_table_closed": ("n_max", lambda n: whittle_table_closed(REF, n), 3),
+    "whittle_index_iterative": ("n_max", lambda n: whittle_index_iterative(REF, n), 3),
+    "indexability_check": ("n_max", lambda n: indexability_check(REF, n), 3),
+    "brute_force_threshold": ("n_max", lambda n: brute_force_threshold(REF, 0.1, n), 3),
+    "eaoii_ladder": ("size", lambda n: eaoii_ladder(REF, n), 3),
+    "FleetConfig": ("budget", lambda n: FleetConfig((REF,) * 4, n), 3),
+    "FleetConfig.from_classes": ("n_total", lambda n: FleetConfig.from_classes([(REF, 1)], n, 0), 3),
+    "simulate_single horizon": ("horizon", lambda n: run_single(n, 0), 3),
+    "simulate_multi_batch horizon": ("horizon", lambda n: run_fleet(n, 0), 3),
+    "simulate_single seed": ("seed", lambda n: run_single(10, n), 3),
+    "simulate_multi_batch seed": ("seed", lambda n: run_fleet(10, n), 3),
+    "OracleConfig": ("state_cap", lambda n: OracleConfig(state_cap=n), 10),
+    "intersection_lambda": ("threshold", lambda n: intersection_lambda(REF, 0, n), 3),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.True_, "3", -1])
+@pytest.mark.parametrize("name", list(INTEGER_TAKERS))
+def test_integer_argument_takes_naturals_only(name, value):
+    # A fraction, a bool or a string is not an integer, and none is truncated or coerced.
+    what, call, _ = INTEGER_TAKERS[name]
+    rule = "must be >= 0, got -1$" if value == -1 else "must be an integer"
+    with pytest.raises(ValueError, match=f"^{what} {rule}"):
+        call(value)
+
+
+@pytest.mark.parametrize("name", list(INTEGER_TAKERS))
+def test_integer_argument_takes_numpy_integers(name):
+    _, call, valid = INTEGER_TAKERS[name]
+    call(np.int64(valid))
 
 
 def test_package_has_no_assert_statements():

@@ -504,6 +504,28 @@ class TestCliCommands:
             "error: --seed: expected a non-negative integer, got -2",
         ]
 
+    def test_fleet_sizes_and_checks_must_be_distinct(self, monkeypatch, capsys):
+        # As with --seeds, a repeated entry would repeat a run and its output row.
+        def run(*args, **kwargs):
+            pytest.fail("ran with a repeated entry")
+
+        monkeypatch.setattr(cli_mod, "simulate_multi_batch", run)
+        monkeypatch.setattr(verify_mod, "run_checks", run)
+        assert run_cli("multi-sim", "--classes", "0.2,0.2,0.4,1", "--n-list", "4,8,4",
+                       "--horizon", "10", "--seeds", "0") == 2
+        assert run_cli("verify", "--checks", "eaoii_identities,eaoii_identities") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --n-list: expected distinct fleet sizes, got [4] more than once",
+            "error: --checks: expected distinct checks, got ['eaoii_identities'] more than once",
+        ]
+
+    def test_lambda_min_below_zero_names_its_flag(self, capsys):
+        assert run_cli("threshold-curve", "--params", "0.9,0.9,0.1", "--lambda-min", "-1",
+                       "--lambda-max", "1", "--lambda-step", "0.5") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --lambda-min must be >= 0, got -1.0"]
+
     def test_lambda_grid_is_one_array(self):
         # 10^6 Python floats in a list cost 32 B each with their pointers;
         # the grid and its one temporary cost 16.

@@ -92,8 +92,7 @@ def iterative_by_intersection(params, n_max):
     table = np.empty(n_max + 1)
     boundary = 0
     while boundary <= n_max:
-        ratios = intersection_lambda(params, boundary,
-                                     np.arange(boundary + 1, bound + 1, dtype=np.float64))
+        ratios = intersection_lambda(params, boundary, np.arange(boundary + 1, bound + 1))
         low = float(ratios.min())
         tol = whittle_mod._TIE_RTOL * max(1.0, abs(low))
         assert low >= ratios[0] - tol
@@ -183,7 +182,7 @@ class TestPairwiseTieFloor:
         for params in (REF, CLASS_SLOW, CLASS_FAST):
             for k in (0, 3, 10, 25):
                 base = lambda_seq(params, k)
-                ns = np.arange(k + 1, k + 201, dtype=np.float64)
+                ns = np.arange(k + 1, k + 201)
                 ratios = intersection_lambda(params, k, ns)
                 assert np.all(ratios >= base - 1e-12 * max(1.0, base))
 
