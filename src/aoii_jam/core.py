@@ -94,10 +94,8 @@ class ThresholdPolicy:
     threshold: int | float
 
     def __post_init__(self):
-        t = self.threshold
-        natural = isinstance(t, (int, np.integer)) and not isinstance(t, bool) and t >= 0
-        if not (natural or isinstance(t, float) and t == INFINITE):
-            raise ValueError(f"threshold must be a natural number or INFINITE, got {self.threshold!r}")
+        if not (isinstance(self.threshold, float) and self.threshold == INFINITE):
+            _natural(self.threshold, "threshold", "a natural number or INFINITE")
 
     @property
     def is_finite(self) -> bool:
@@ -110,20 +108,24 @@ def _check_cost(lam: float) -> None:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
 
 
-def _natural(value, what: str):
-    """A non-negative int (numpy integers too) or integer array; anything else, bools too, raises.
+def _natural(value, what: str, kind: str = "an integer") -> int:
+    """A non-negative int (numpy integers too) as a Python int; anything else, bools and arrays too, raises.
 
-    An integer comes back as a Python int, checked without numpy, whose
-    per-call cost would dominate a scalar closed form.
+    Checked without numpy, whose per-call cost would dominate a scalar
+    closed form. ``kind`` names what ``what`` may be in the message.
     """
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
-        negative = np.any(value < 0)
-    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        value = int(value)
-        negative = value < 0
-    else:
-        raise ValueError(f"{what} must be an integer or an integer array, got {value!r}")
-    if negative:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{what} must be >= 0, got {value}")
+    return int(value)
+
+
+def _naturals(value, what: str):
+    """``_natural``, or a non-negative integer array, which comes back as it is."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iu"):
+        return _natural(value, what, "an integer or an integer array")
+    if np.any(value < 0):
         raise ValueError(f"{what} must be >= 0, got {value}")
     return value
 
@@ -132,7 +134,22 @@ def _threshold(n):
     """Normalize a threshold argument to a natural int, an int array or INFINITE."""
     if isinstance(n, ThresholdPolicy):
         n = n.threshold
-    return n if isinstance(n, float) and n == INFINITE else _natural(n, "threshold")
+    return n if isinstance(n, float) and n == INFINITE else _naturals(n, "threshold")
+
+
+def _pow(base: float, k):
+    """``base ** k`` bit for bit, but an age array's powers below 2**-1080 are set to 0, not computed.
+
+    numpy's power takes ten times longer where its result underflows. The
+    rest is one unmasked numpy power: a ``where=`` mask, like a scalar or 0-d
+    age (Python's ``**``), may round differently in the last place.
+    """
+    if not (isinstance(k, np.ndarray) and k.ndim and 0.0 < base < 1.0):
+        return base**k
+    live = k < -1080.0 / math.log2(base)
+    out = np.zeros(k.shape)
+    out[live] = base ** k[live]
+    return out
 
 
 def _scalar(value):
@@ -149,9 +166,9 @@ def eaoii_value(params: SubsystemParams, k):
     and are returned exactly (the general expression would leave division
     noise scaled by 1/r).
     """
-    k = _natural(k, "age index")
+    k = _naturals(k, "age index")
     r = params.r
-    s = (1.0 + (1.0 - 2.0 * r) ** (k + 1) - 2.0 * (1.0 - r) ** (k + 1)) / (2.0 * r)
+    s = (1.0 + _pow(1.0 - 2.0 * r, k + 1) - 2.0 * _pow(1.0 - r, k + 1)) / (2.0 * r)
     return _scalar(np.where(k == 0, 0.0, np.where(k == 1, r, s)))
 
 
@@ -176,12 +193,12 @@ def stationary_pmf(params: SubsystemParams, n, i):
     the law is the never-jam geometric p (1-p)^i.
     """
     n = _threshold(n)
-    i = _natural(i, "age index")
+    i = _naturals(i, "age index")
     p, q = params.p, params.q
     a = 1.0 - p
     b = 1.0 - p * (1.0 - q)
-    u0 = p * (1.0 - q) / (1.0 - q + q * a**n)
-    return _scalar(a ** np.minimum(i, n) * b ** np.maximum(i - n, 0) * u0)
+    u0 = p * (1.0 - q) / (1.0 - q + q * _pow(a, n))
+    return _scalar(_pow(a, np.minimum(i, n)) * _pow(b, np.maximum(i - n, 0)) * u0)
 
 
 def _tail_transform(a: float, b: float, n, beta):
@@ -193,7 +210,7 @@ def _tail_transform(a: float, b: float, n, beta):
     """
     c = a * beta
     e = b * beta
-    return beta * (1.0 - c ** (n + 1)) / (1.0 - c) + (c**n) * beta * e / (1.0 - e)
+    return beta * (1.0 - _pow(c, n + 1)) / (1.0 - c) + _pow(c, n) * beta * e / (1.0 - e)
 
 
 def _steady_averages(params: SubsystemParams, n):
@@ -207,7 +224,7 @@ def _steady_averages(params: SubsystemParams, n):
     p, q, r = params.p, params.q, params.r
     a = 1.0 - p
     b = 1.0 - p * (1.0 - q)
-    an = a**n
+    an = _pow(a, n)
     u0 = p * (1.0 - q) / (1.0 - q + q * an)
     body = _tail_transform(a, b, n, 1.0 - 2.0 * r) - 2.0 * _tail_transform(a, b, n, 1.0 - r)
     return (1.0 + u0 * body) / (2.0 * r), an / (1.0 - q + q * an)
@@ -269,9 +286,9 @@ def _lambda_decay(params: SubsystemParams, n):
     x = (1.0 - 2.0 * r) * b
     z = (1.0 - r) * a
     y = (1.0 - 2.0 * r) * a
-    pow_r = (1.0 - r) ** (n + 2)
-    pow_2r = (1.0 - 2.0 * r) ** (n + 2)
-    an1 = a ** (n + 1)
+    pow_r = _pow(1.0 - r, n + 2)
+    pow_2r = _pow(1.0 - 2.0 * r, n + 2)
+    an1 = _pow(a, n + 1)
     decay = (
         p * q * (1.0 - q) * pow_r / (r * (1.0 - w))
         + p * q * q * an1 * pow_r / ((1.0 - z) * (1.0 - w))

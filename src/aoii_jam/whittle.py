@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SubsystemParams, _natural, _pairwise_ratio, avg_aat_closed, lambda_seq
+from .core import SubsystemParams, _natural, _pairwise_ratio, _pow, avg_aat_closed, lambda_seq
 
 __all__ = [
     "FleetConfig",
@@ -117,8 +117,9 @@ def whittle_index_iterative(params: SubsystemParams, n_max: int) -> np.ndarray:
     bound = _natural(n_max, "n_max") + SCAN_MARGIN
     exponents = np.arange(1, bound + 1, dtype=np.float64)
     a = 1.0 - params.p
-    powers = a**exponents
-    pairs = [((a * beta) ** exponents, beta**exponents) for beta in (1.0 - params.r, 1.0 - 2.0 * params.r)]
+    powers = _pow(a, exponents)
+    pairs = [(_pow(a * beta, exponents), _pow(beta, exponents))
+             for beta in (1.0 - params.r, 1.0 - 2.0 * params.r)]
     table = np.empty(n_max + 1)
     boundary = 0
     while boundary <= n_max:

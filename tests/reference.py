@@ -97,7 +97,8 @@ def lane_uniforms(seed, channels, horizon, chunk):
 
 
 def threshold_deliveries_where(maybe, sure, n, last):
-    """``sim._threshold_deliveries`` with int64 run indices picked by ``np.where``."""
+    """``sim._threshold_deliveries`` by run indices: a candidate is delivered iff its run's last
+    sure candidate so far comes at or after the run's start (int64, picked by ``np.where``)."""
     candidates = np.flatnonzero(maybe)
     index = np.arange(1, len(candidates) + 1)
     run_start = np.maximum.accumulate(np.where(np.diff(candidates, prepend=last) > n, index, 0))

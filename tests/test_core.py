@@ -201,6 +201,46 @@ class TestEaoiiValue:
             eaoii_value(REF, np.array([3, -1, 2]))
 
 
+def underflow_age(base):
+    """The first age whose power of ``base`` lies below 2**-1080: ``core._pow`` fills it with 0."""
+    return math.ceil(-1080 / math.log2(base))
+
+
+@st.composite
+def bases_and_ages(draw):
+    """A base log-uniform in [1e-300, 1 - 2**-52] and ages from 0 to twice its underflow age."""
+    base = min(math.exp(draw(st.floats(math.log(1e-300), 0.0))), 1.0 - 2.0**-52)
+    return base, draw(st.lists(st.integers(0, 2 * underflow_age(base)), max_size=64))
+
+
+class TestPow:
+    @settings(max_examples=300, deadline=None)
+    @given(case=bases_and_ages())
+    @example(case=(0.9, [underflow_age(0.9) + d for d in (-1, 0, 1)]))
+    @example(case=(0.08, [underflow_age(0.08) + d for d in (1, -1, 0, 0)]))
+    @example(case=(1e-300, [0, 1, 2, 3, 4]))
+    @example(case=(0.8, [2]))  # a masked numpy power of one element took another pow
+    @example(case=(1.0 - 2.0**-52, [underflow_age(1.0 - 2.0**-52) + d for d in (-1, 0, 1)]))
+    def test_equals_numpy_power(self, case):
+        # Integer ages and the float exponents of the iterative index tables alike.
+        base, ages = case
+        for k in (np.array(ages, dtype=np.int64), np.array(ages, dtype=np.float64)):
+            assert np.array_equal(core._pow(base, k), base**k)
+
+    @pytest.mark.parametrize("base", [0.0, 1.0])
+    def test_zero_and_one_pass_through(self, base):
+        k = np.array([0, 1, 5, 10**6])
+        assert np.array_equal(core._pow(base, k), base**k)
+        assert core._pow(base, 0) == 1.0
+
+    def test_scalar_ages_keep_python_power(self):
+        for k in (0, 3, 10**5, math.inf):
+            value = core._pow(0.9, k)
+            assert type(value) is float and value == 0.9**k
+        for k in (2, 10**5):  # a 0-d array as well
+            assert core._pow(0.8, np.array(k)) == 0.8 ** np.array(k)
+
+
 class TestKernel:
     def test_delivery_probability(self):
         assert delivery_probability(REF, False) == 0.9

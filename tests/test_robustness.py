@@ -54,7 +54,11 @@ INTEGER_TAKERS = {
     "simulate_multi_batch seed": ("seed", lambda n: run_fleet(10, n), 3),
     "OracleConfig": ("state_cap", lambda n: OracleConfig(state_cap=n), 10),
     "intersection_lambda": ("threshold", lambda n: intersection_lambda(REF, 0, n), 3),
+    "intersection_lambda m": ("threshold", lambda n: intersection_lambda(REF, n, 10), 3),
 }
+
+# The rows whose argument may also be an integer array; every other one is one number.
+ARRAY_TAKERS = {"intersection_lambda"}
 
 
 @pytest.mark.parametrize("value", [2.5, True, np.True_, "3", -1])
@@ -71,6 +75,14 @@ def test_integer_argument_takes_naturals_only(name, value):
 def test_integer_argument_takes_numpy_integers(name):
     _, call, valid = INTEGER_TAKERS[name]
     call(np.int64(valid))
+
+
+@pytest.mark.parametrize("name", [name for name in INTEGER_TAKERS if name not in ARRAY_TAKERS])
+def test_scalar_argument_refuses_arrays(name):
+    # A one-element integer array is not one number: refused by name, not by a numpy error.
+    what, call, valid = INTEGER_TAKERS[name]
+    with pytest.raises(ValueError, match=rf"^{what} must be an integer, got array\(\[{valid}\]\)$"):
+        call(np.array([valid]))
 
 
 def test_package_has_no_assert_statements():

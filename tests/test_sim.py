@@ -183,6 +183,12 @@ class TestSingleSource:
     )
     @example(params=REF, policy=ThresholdPolicy(2), horizon=9_000, chunk=None, seed=77)
     @example(params=REF, policy=RandomJam(0.5), horizon=9_000, chunk=None, seed=78)
+    @example(params=REF, policy=ThresholdPolicy(2), horizon=sim_mod._BLOCK * sim_mod._CHUNK - 1,
+             chunk=None, seed=79)
+    @example(params=REF, policy=RandomJam(0.3), horizon=sim_mod._BLOCK * sim_mod._CHUNK,
+             chunk=None, seed=80)
+    @example(params=SubsystemParams(0.3, 0.6, 0.2), policy=ThresholdPolicy(4),
+             horizon=sim_mod._BLOCK * sim_mod._CHUNK + 1, chunk=None, seed=81)
     def test_trace_matches_step_primitive(self, params, policy, horizon, chunk, seed):
         # Replay the run's uniforms, drawn chunk by chunk as a one-channel
         # lane, through the pure one-slot primitive and require every array of
@@ -380,6 +386,12 @@ class TestChunkKernels:
         last=st.integers(-100, -1),
         seed=st.integers(0, 2**32 - 1),
     )
+    # A full chunk with no gap above n; n = 0, where every candidate starts a
+    # run; no candidate at all; and a first candidate beyond n of ``last``.
+    @example(length=sim_mod._CHUNK, p=1.0, jam_factor=0.5, n=1, last=-1, seed=0)
+    @example(length=200, p=0.7, jam_factor=0.3, n=0, last=-5, seed=1)
+    @example(length=60, p=0.0, jam_factor=0.5, n=3, last=-1, seed=2)
+    @example(length=150, p=0.4, jam_factor=0.2, n=10, last=-100, seed=3)
     def test_threshold_deliveries_match_where_form(self, length, p, jam_factor, n, last, seed):
         u = np.random.default_rng(seed).random(length)
         maybe, sure = u < p, u < p * jam_factor
