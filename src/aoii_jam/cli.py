@@ -201,8 +201,8 @@ def _seeds(value) -> list[int]:
 
 
 def _m_rule(value) -> str:
-    if _text(value) != "half":
-        int(value)  # a fixed budget
+    if _text(value) != "half" and int(value) < 0:
+        raise ValueError(f"expected 'half' or a non-negative integer budget, got {value}")
     return value
 
 

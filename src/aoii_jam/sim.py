@@ -412,10 +412,10 @@ def simulate_multi_batch(
     draws, jams, ages and true AoII are indexed slot first but stored
     channel by channel, so each of those steps runs along a channel's
     contiguous slots. Both per-class tables, the index ranks (with their
-    running extremes) and the EAoII ladder, grow before any chunk that could
-    outrun them: to at least the oldest start age plus the chunk, which no
-    age of the chunk reaches. So each channel is ranked and read at its true
-    age.
+    running extremes) and the EAoII ladder, are flat rows, one per class,
+    read at ``base + age``; they grow before any chunk that could outrun
+    them, to at least the oldest start age plus the chunk, which no age of
+    the chunk reaches. So each channel is ranked and read at its true age.
     """
     if not seeds:
         raise ValueError("at least one seed required")
@@ -443,10 +443,10 @@ def simulate_multi_batch(
         bound = int(start_ages.max()) + chunk
         if bound > width:
             width = min(2 * bound, horizon)
-            ladders = np.array([eaoii_ladder(params, width) for params in classes])
+            ladder, base = np.concatenate([eaoii_ladder(c, width) for c in classes]), of_class * width
             if looped:
                 tables = np.array([whittle_table_closed(c, width - 1) for c in classes])
-                keys, base = rank_keys(tables, n_sub), of_class * width
+                keys = rank_keys(tables, n_sub)
                 flat_keys = keys.ravel()
                 extremes = tuple(f.accumulate(keys, axis=1).ravel() for f in (np.maximum, np.minimum))
         flips, sure, maybe, masks = draws[:, :chunk]
@@ -472,6 +472,6 @@ def simulate_multi_batch(
         for s in range(len(seeds)):
             delivered = maybe[:, s] ^ (masks[:, s] & toggle[:, s])
             carries[s] = _resolve(delivered, flips[:, s], start, carries[s], age, aoii)
-            _add_chunk(totals[s], start, horizon, ladders[of_class, age], aoii, masks[:, s])
+            _add_chunk(totals[s], start, horizon, ladder[base + age], aoii, masks[:, s])
 
     return [_sim_stats(t, horizon, seed, 0.0) for t, seed in zip(totals, seeds)]

@@ -85,16 +85,16 @@ def check_eaoii_monotone_bounded(grid) -> Iterator[tuple[float, dict]]:
 
 
 def check_kernel_stochastic(grid) -> Iterator[tuple[float, dict]]:
-    """Every row of the threshold kernel the oracles run is an exact probability distribution.
+    """Every row of the threshold kernel the oracles run is a probability distribution.
 
     Age k resets with probability sigma_k and moves up (the cap self-loops)
-    with 1 - sigma_k; a sigma_k outside [0, 1] is a broken row.
+    with 1 - sigma_k; a sigma_k outside [0, 1], or NaN, is a broken row (infinity).
     """
     for params in grid:
         for n in N_GRID:
             sigma = _threshold_kernel_sigma(params, n, _tail_cap(params, n, 1e-16, 20))
-            err = np.where((sigma < 0.0) | (sigma > 1.0), math.inf, np.abs(sigma + (1.0 - sigma) - 1.0))
-            k = int(err.argmax())  # the first NaN, if any
+            err = np.where((sigma >= 0.0) & (sigma <= 1.0), 0.0, math.inf)  # NaN is outside too
+            k = int(err.argmax())  # the first broken row, if any
             yield float(err[k]), _witness(params, n=n, k=k)
 
 
@@ -428,7 +428,6 @@ def run_checks(grid=None, names=None) -> dict:
             "worst_error": worst,
             "passed": bool(worst <= tolerance),  # False for NaN; a numpy bool is not JSON
             "witness": witness,
-            "detail": "",  # kept for the report schema; no check sets it
         })
     return {
         "grid_size": len(grid),

@@ -108,13 +108,16 @@ def whittle_index_iterative(params: SubsystemParams, n_max: int) -> np.ndarray:
     age; a scan finding a strictly smaller ratio further out contradicts
     that structure and raises rather than being silently accepted. Ages
     whose ratios tie all the way to the scan edge (q = 0, or increments
-    below float resolution) share the current infimum. Each power the ratios
-    need is tabulated once over exponents 1..bound; every step reads slices.
+    below float resolution) share the current infimum; at p = 1 all ages do,
+    so p = 1 raises ``ValueError``. Each power the ratios need is tabulated
+    once over exponents 1..bound; every step reads slices.
 
     Retained as a verification oracle for ``whittle_table_closed``; the
     closed form is what production callers use.
     """
     bound = _natural(n_max, "n_max") + SCAN_MARGIN
+    if params.p == 1.0:
+        raise ValueError("the iterative index is undefined past age 0 at p = 1")
     exponents = np.arange(1, bound + 1, dtype=np.float64)
     a = 1.0 - params.p
     powers = _pow(a, exponents)

@@ -2,6 +2,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +95,21 @@ def test_package_has_no_assert_statements():
         found += [f"{path.relative_to(root)}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_imports_numpy_and_the_standard_library_only():
+    # numpy is the one declared dependency. Other scientific packages may be
+    # installed where the tests run, so importing one would pass every other test.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "aoii_jam"}
+    imported, root = set(), pathlib.Path(aoii_jam.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert sorted(imported - allowed) == []
 
 
 def test_public_names_exist_and_star_import():

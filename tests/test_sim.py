@@ -608,6 +608,19 @@ class TestMultiSource:
         stats = simulate_multi_batch(FleetConfig((params,), 0), WhittleJam(), 10_000, [4])[0]
         assert stats.avg_eaoii == pytest.approx(eaoii_ladder(params, 10_000).mean(), rel=1e-12)
 
+    @pytest.mark.parametrize("policy", [WhittleJam(), RandomMultiJam()])
+    def test_second_class_ladder_read_after_growth(self, policy):
+        # Channel 1 never delivers in 20,000 slots at this seed, so the ladder
+        # is rebuilt from 8,192 to 20,000 ages and its second row is read past
+        # the first width. Stream 0 of a lane is the single-source stream.
+        fast, slow = SubsystemParams(0.8, 0.8, 0.2), SubsystemParams(1e-9, 0.5, 1e-4)
+        stats = simulate_multi_batch(FleetConfig((fast, slow), 0), policy, 20_000, [4])[0]
+        ages = single_trace(fast, ThresholdPolicy(INFINITE), 20_000, 4)["age_index"]
+        fast_mean = eaoii_ladder(fast, int(ages.max()) + 1)[ages].mean()
+        slow_mean = eaoii_ladder(slow, 20_000).mean()
+        assert stats.per_subsystem[0].avg_eaoii == pytest.approx(fast_mean, rel=1e-12)
+        assert stats.per_subsystem[1].avg_eaoii == pytest.approx(slow_mean, rel=1e-12)
+
     def test_eaoii_ladder_grows_by_doubling(self, monkeypatch):
         # A channel that never delivers ages by 4,096 in each of 25 chunks;
         # sized to twice the oldest age, the ladder is built 4 times, not 25.

@@ -526,6 +526,24 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: --lambda-min must be >= 0, got -1.0"]
 
+    def test_negative_m_rule_names_its_flag(self, capsys):
+        assert run_cli("multi-sim", "--classes", "0.9,0.9,0.1,1", "--n-list", "4",
+                       "--horizon", "100", "--seeds", "0", "--m-rule", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --m-rule: expected 'half' or a non-negative integer budget, got -1"]
+
+    def test_iterative_table_refuses_p_one(self, capsys):
+        # At p = 1 every ratio from boundary 0 ties to the scan edge, so the
+        # construction would give every age the age-0 value.
+        assert run_cli("whittle-table", "--method", "iterative", "--params", "1,0.5,0.1",
+                       "--k-max", "5") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the iterative index is undefined past age 0 at p = 1"]
+
     def test_lambda_grid_is_one_array(self):
         # 10^6 Python floats in a list cost 32 B each with their pointers;
         # the grid and its one temporary cost 16.

@@ -68,6 +68,14 @@ class TestIterativeIndex:
         params = SubsystemParams(p=0.7, q=0.0, r=0.3)
         assert np.all(whittle_index_iterative(params, 40) == 0.0)
 
+    @pytest.mark.parametrize("params", [SubsystemParams(1.0, 0.5, 0.1), SubsystemParams(1.0, 0.9, 0.3)])
+    def test_refuses_p_one(self, params):
+        # Every ratio from boundary 0 ties to the scan edge at p = 1, where the
+        # closed table still rises (0.1515, 0.2530, ... for the first triple).
+        assert np.all(np.diff(whittle_table_closed(params, 5)) > 0)
+        with pytest.raises(ValueError, match="^the iterative index is undefined past age 0 at p = 1$"):
+            whittle_index_iterative(params, 5)
+
     def test_structure_violation_surfaces(self, monkeypatch):
         # Corrupt the pairwise ratio so a far state undercuts the boundary
         # successor; the construction must refuse rather than pick silently.
