@@ -48,7 +48,7 @@ from .sim import (
     standard_error,
     summarize_trace,
 )
-from .whittle import FleetConfig, whittle_index_iterative, whittle_table_closed
+from .whittle import FleetConfig, whittle_table_closed
 
 
 class ConfigError(ValueError):
@@ -200,18 +200,16 @@ def _seeds(value) -> list[int]:
     return _distinct([_seed(seed) for seed in _int_list(value)], "seeds")
 
 
+def _fleet_sizes(value) -> list[int]:
+    sizes = _distinct(_int_list(value), "fleet sizes")
+    if min(sizes) < 1:
+        raise ValueError(f"expected fleet sizes of at least 1, got {min(sizes)}")
+    return sizes
+
+
 def _m_rule(value) -> str:
     if _text(value) != "half" and int(value) < 0:
         raise ValueError(f"expected 'half' or a non-negative integer budget, got {value}")
-    return value
-
-
-METHODS = ("closed", "iterative")
-
-
-def _method(value) -> str:
-    if _text(value) not in METHODS:
-        raise ValueError(f"method must be closed or iterative, got {value!r}")
     return value
 
 
@@ -244,8 +242,7 @@ OPTIONS = {
     "threshold-curve": {**_PARAMS, **_LAMBDA_RANGE},
     "multi-sim": {
         "classes": (_classes, REQUIRED, {"help": "p,q,r,fraction;p,q,r,fraction;..."}),
-        "n-list": (lambda value: _distinct(_int_list(value), "fleet sizes"), "4,8,16,24,32,40",
-                   {"help": "distinct fleet sizes, e.g. 4,8,16"}),
+        "n-list": (_fleet_sizes, "4,8,16,24,32,40", {"help": "distinct fleet sizes, e.g. 4,8,16"}),
         "m-rule": (_m_rule, "half", {"help": "'half' or a fixed integer budget"}),
         "horizon": (_int, 100_000, _INT),
         "seeds": (_seeds, "0,1,2,3,4,5,6,7,8,9", {"help": "comma-separated distinct seeds"}),
@@ -253,7 +250,6 @@ OPTIONS = {
     "whittle-table": {
         "params": (_params_list, REQUIRED, {"action": "append", "help": "p,q,r (repeatable)"}),
         "k-max": (_int, 200, _INT),
-        "method": (_method, "closed", {"choices": METHODS}),
     },
     "sim": {
         **_PARAMS,
@@ -319,10 +315,6 @@ def _parse_policy(text: str):
 # Largest lambda grid, before decimation (80 MB of float64), and largest
 # whittle-table.
 MAX_GRID_POINTS = 10_000_000
-# whittle-table --method iterative builds at most one row more than this over
-# all its --params: its infimum scan is quadratic in the ages (about 1 s at
-# this limit for slow-mixing params).
-_ITERATIVE_K_MAX = 10_000
 
 
 def _lambda_grid(opts) -> np.ndarray:
@@ -334,9 +326,9 @@ def _lambda_grid(opts) -> np.ndarray:
     if lo < 0:
         raise ConfigError(f"--lambda-min must be >= 0, got {lo}")
     if step <= 0:
-        raise ConfigError("lambda step must be positive")
+        raise ConfigError(f"--lambda-step must be positive, got {step}")
     if hi < lo:
-        raise ConfigError("lambda range is empty")
+        raise ConfigError(f"--lambda-max must be >= --lambda-min, got {hi} < {lo}")
     steps = (hi - lo) / step  # inf when the quotient overflows
     count = math.floor(steps * (1.0 + 1e-9)) + 1 if steps < MAX_GRID_POINTS else math.inf
     if count > MAX_GRID_POINTS:
@@ -411,9 +403,12 @@ def cmd_threshold_curve(args, opts) -> int:
 def cmd_multi_sim(args, opts) -> int:
     """fleet comparison: index policy vs random"""
     classes, horizon, seeds = opts["classes"], opts["horizon"], opts["seeds"]
-    m_rule = opts["m-rule"]
+    m_rule, sizes = opts["m-rule"], opts["n-list"]
+    if m_rule != "half" and int(m_rule) >= min(sizes):
+        raise ConfigError(f"--m-rule: a budget of {m_rule} must be below every --n-list size, "
+                          f"got {min(sizes)}")
     fleets = [FleetConfig.from_classes(classes, n, n // 2 if m_rule == "half" else int(m_rule))
-              for n in opts["n-list"]]
+              for n in sizes]
     _check_run(horizon, max(fleet.size for fleet in fleets))  # before any fleet is simulated
     table = {"N": [fleet.size for fleet in fleets], "whittle_avg_aoii": [], "whittle_stderr": [],
              "random_avg_aoii": [], "random_stderr": []}
@@ -426,7 +421,7 @@ def cmd_multi_sim(args, opts) -> int:
     config = {
         "command": "multi-sim",
         "classes": ";".join(f"{c.p},{c.q},{c.r},{frac}" for c, frac in classes),
-        "n-list": ",".join(str(n) for n in opts["n-list"]),
+        "n-list": ",".join(str(n) for n in sizes),
         "m-rule": m_rule,
         "horizon": horizon,
         "seeds": ",".join(str(s) for s in seeds),
@@ -443,22 +438,16 @@ def cmd_whittle_table(args, opts) -> int:
     if not 0 < ages <= MAX_GRID_POINTS // len(subsystems):  # at most MAX_GRID_POINTS rows
         raise ConfigError(f"--k-max must be from 0 to {MAX_GRID_POINTS // len(subsystems) - 1} "
                           f"for {len(subsystems)} --params, got {k_max}")
-    if opts["method"] == "iterative" and len(subsystems) * ages > _ITERATIVE_K_MAX + 1:
-        raise ConfigError(f"--method iterative builds at most {_ITERATIVE_K_MAX + 1} rows in all, "
-                          f"got {len(subsystems) * ages} ({len(subsystems)} --params at "
-                          f"--k-max {k_max})")
-    build = whittle_table_closed if opts["method"] == "closed" else whittle_index_iterative
     table = {
         "subsystem_id": np.repeat(np.arange(len(subsystems)), ages),
         "k": np.tile(np.arange(ages), len(subsystems)),
         "s_k": np.concatenate([eaoii_ladder(params, ages) for params in subsystems]),
-        "W": np.concatenate([build(params, k_max) for params in subsystems]),
+        "W": np.concatenate([whittle_table_closed(params, k_max) for params in subsystems]),
     }
     config = {
         "command": "whittle-table",
         "params": ";".join(f"{p.p},{p.q},{p.r}" for p in subsystems),
         "k-max": k_max,
-        "method": opts["method"],
     }
     _emit(args.out, config, table, args.format)
     return 0

@@ -10,7 +10,7 @@ first largest error and its witness, and a NaN error ends its check as the
 worst. So a broken property reports ``Infinity`` and a NaN fails. ``run_checks``
 runs a non-empty selection over a parameter grid and returns a JSON-ready
 report; the CLI ``verify`` wraps it and exits 2 on an empty selection. The
-iterative index is checked at 60 ages; ``whittle-table`` caps it at 10,000.
+iterative index, which no other command builds, is checked at 60 ages.
 """
 
 from __future__ import annotations

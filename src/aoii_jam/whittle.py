@@ -145,12 +145,6 @@ def whittle_index_iterative(params: SubsystemParams, n_max: int) -> np.ndarray:
         value = float(ratios[0])
         ties = np.nonzero(ratios <= low + tol)[0]
         largest = boundary + 1 + int(ties.max())
-        if largest >= bound:
-            # Tie plateau runs to the scan edge: every remaining age shares
-            # the current infimum (exact for q = 0, and the correct float
-            # semantics once increments fall below resolution).
-            table[boundary:] = value
-            return table
         table[boundary : min(largest, n_max + 1)] = value
         boundary = largest
     return table

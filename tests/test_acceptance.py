@@ -290,6 +290,36 @@ def test_criterion_09_fleet_comparison():
     )
 
 
+def test_criterion_09_fleet_matches_its_exact_value():
+    # Every index of the fast class lies above every index of the slow one,
+    # so with M = N/2 the index policy jams the fast half in every slot: each
+    # fast channel is a threshold-0 source and each slow one is never jammed.
+    started = time.perf_counter()
+    assert lambda_seq(CLASS_FAST, 0) > lambda_limit(CLASS_SLOW)
+    exact = 0.5 * avg_eaoii_closed(CLASS_FAST, 0) + 0.5 * avg_eaoii_no_jam(CLASS_SLOW)
+    assert abs(exact - 0.8826260940737726) < 1e-15
+    seeds = list(range(10))
+    worst = 0.0
+    for n_total in (4, 40):
+        fleet = FleetConfig.from_classes([(CLASS_SLOW, 0.5), (CLASS_FAST, 0.5)], n_total,
+                                         n_total // 2)
+        runs = simulate_multi_batch(fleet, WhittleJam(), 100_000, seeds)
+        for column in ("avg_eaoii", "avg_true_aoii"):
+            values = np.array([getattr(stats, column) for stats in runs])
+            z = (values.mean() - exact) / (values.std(ddof=1) / np.sqrt(len(seeds)))
+            assert abs(z) < 3.0, (n_total, column, z)
+            worst = max(worst, abs(z))
+        jammed = np.array([[channel.avg_aat for channel in stats.per_subsystem] for stats in runs])
+        fast = np.array([params == CLASS_FAST for params in fleet.subsystems])
+        assert np.all(jammed[:, fast] == 1.0) and np.all(jammed[:, ~fast] == 0.0)
+    _report(
+        9,
+        f"index policy's EAoII and true AoII within {worst:.2f} s.e. of the exact "
+        f"{exact:.6f} at N = 4 and 40 (10 seeds, two-sided 3 s.e.), fast half always jammed",
+        started,
+    )
+
+
 def test_criterion_10_determinism(tmp_path):
     started = time.perf_counter()
     commands = [

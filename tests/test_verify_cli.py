@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -213,6 +214,23 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# argv without its --classes or --params -> the one error line it prints.
+FLAG_REFUSALS = [
+    (("multi-sim", "--m-rule", "4", "--n-list", "4"),
+     "error: --m-rule: a budget of 4 must be below every --n-list size, got 4"),
+    (("multi-sim", "--m-rule", "3", "--n-list", "8,2"),
+     "error: --m-rule: a budget of 3 must be below every --n-list size, got 2"),
+    (("multi-sim", "--n-list", "0"), "error: --n-list: expected fleet sizes of at least 1, got 0"),
+    (("multi-sim", "--n-list=4,-3"),
+     "error: --n-list: expected fleet sizes of at least 1, got -3"),
+    (("threshold-curve", "--lambda-step", "0"), "error: --lambda-step must be positive, got 0.0"),
+    (("sweep-lambda", "--lambda-step", "-0.5"),
+     "error: --lambda-step must be positive, got -0.5"),
+    (("threshold-curve", "--lambda-min", "2", "--lambda-max", "1"),
+     "error: --lambda-max must be >= --lambda-min, got 1.0 < 2.0"),
+]
+
+
 class TestCliCommands:
     def test_verify_subcommand_exit_codes(self, tmp_path, monkeypatch):
         out = tmp_path / "report.json"
@@ -330,26 +348,6 @@ class TestCliCommands:
         assert len(rows) == 11
         assert all(float(row[3]) == 0.0 for row in rows)
 
-    def test_whittle_table_methods_agree(self, tmp_path):
-        closed_out = tmp_path / "closed.csv"
-        iterative_out = tmp_path / "iterative.csv"
-        for method, path in (("closed", closed_out), ("iterative", iterative_out)):
-            run_cli(
-                "whittle-table", "--params", "0.8,0.8,0.2", "--k-max", "40",
-                "--method", method, "--out", str(path),
-            )
-
-        def values(path):
-            return [
-                float(line.split(",")[3])
-                for line in path.read_text().splitlines()
-                if line and not line.startswith("#") and not line.startswith("subsystem_id")
-            ]
-
-        closed = np.array(values(closed_out))
-        iterative = np.array(values(iterative_out))
-        assert np.max(np.abs(closed - iterative)) < 1e-8
-
     def test_multi_sim_schema_and_class_split_error(self, tmp_path):
         out = tmp_path / "multi.csv"
         code = run_cli(
@@ -446,8 +444,7 @@ class TestCliCommands:
     def test_params_whose_one_minus_p_rounds_to_one(self, capsys):
         # 1 - 1e-17 is 1.0 in floats, so the pairwise tie ratios divide by 0:
         # the triple is refused when it is parsed, in every command.
-        assert run_cli("whittle-table", "--params", "1e-17,0.5,0.1", "--k-max", "3",
-                       "--method", "iterative") == 2
+        assert run_cli("whittle-table", "--params", "1e-17,0.5,0.1", "--k-max", "3") == 2
         assert run_cli("multi-sim", "--classes", "1e-17,0.5,0.1,1", "--n-list", "2",
                        "--m-rule", "1", "--horizon", "100", "--seeds", "0") == 2
         assert run_cli("sim", "--params", "1e-17,0.5,0.1", "--horizon", "100") == 2
@@ -534,15 +531,53 @@ class TestCliCommands:
         assert captured.err.splitlines() == [
             "error: --m-rule: expected 'half' or a non-negative integer budget, got -1"]
 
-    def test_iterative_table_refuses_p_one(self, capsys):
-        # At p = 1 every ratio from boundary 0 ties to the scan edge, so the
-        # construction would give every age the age-0 value.
-        assert run_cli("whittle-table", "--method", "iterative", "--params", "1,0.5,0.1",
-                       "--k-max", "5") == 2
+    @pytest.mark.parametrize("argv,error", FLAG_REFUSALS,
+                             ids=[" ".join(argv) for argv, _ in FLAG_REFUSALS])
+    def test_fleet_and_grid_refusals_name_their_flags(self, argv, error, monkeypatch, capsys):
+        def simulate(*args):
+            pytest.fail("simulated with a refused option")
+
+        monkeypatch.setattr(cli_mod, "simulate_multi_batch", simulate)
+        monkeypatch.setattr(cli_mod, "simulate_single", simulate)
+        source = (("--classes", "0.9,0.9,0.1,1") if argv[0] == "multi-sim"
+                  else ("--params", "0.9,0.9,0.1"))
+        assert run_cli(*argv, *source) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [error]
+
+    def test_whittle_table_has_no_method(self, tmp_path, capsys):
+        # The table is always the closed form; the iterative construction is
+        # verify's second route, whittle.whittle_index_iterative.
+        with pytest.raises(SystemExit) as exited:
+            run_cli("whittle-table", "--params", "0.8,0.8,0.2", "--method", "closed")
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --method closed" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"params": "0.8,0.8,0.2", "method": "closed"}))
+        assert run_cli("whittle-table", "--config", str(cfg)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: the iterative index is undefined past age 0 at p = 1"]
+            "error: unknown config keys ['method']; the keys are the long flag names"]
+
+    def test_readme_synopsis_matches_the_parser(self, capsys):
+        # Every --flag of the README's CLI block is one its command's --help
+        # lists, and the block shows every subcommand.
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1].replace("\\\n", " ")
+        flags = {}
+        for line in block.splitlines():
+            program, command, *words = line.split()
+            assert program == "aoii-jam"
+            flags.setdefault(command, set()).update(
+                word.strip("[]").split("=")[0] for word in words if word.lstrip("[").startswith("--"))
+        assert sorted(flags) == sorted(cli_mod.OPTIONS)
+        for command, named in flags.items():
+            with pytest.raises(SystemExit):
+                run_cli(command, "--help")
+            listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+            assert named <= listed, (command, named - listed)
 
     def test_lambda_grid_is_one_array(self):
         # 10^6 Python floats in a list cost 32 B each with their pointers;
@@ -680,7 +715,7 @@ WRITER_CASES = {
     "multi-sim": (("multi-sim", "--classes", "0.2,0.2,0.4,0.5;0.8,0.8,0.2,0.5",
                    "--n-list", "4,8", "--horizon", "1000", "--seeds", "0,1"), 2, ""),
     "whittle-table": (("whittle-table", "--params", "0.8,0.8,0.2", "--params", "0.5,0.0,0.25",
-                       "--k-max", "30", "--method", "iterative"), 62, ""),
+                       "--k-max", "30"), 62, ""),
     "sim-one-slot": (("sim", "--params", "0.9,0.9,0.1", "--policy", "random:0.5",
                       "--horizon", "1"), 1, "nan"),
     "sim-trace": (("sim", "--params", "0.9,0.9,0.1", "--policy", "threshold:2",
@@ -831,53 +866,3 @@ class TestTableWriter:
         assert run_cli(*two, "--k-max", "9", "--out", str(out)) == 0
         assert len([line for line in out.read_text().splitlines() if line[0].isdigit()]) == 20
         assert run_cli(*two, "--k-max", "10") == 2
-
-    def test_whittle_table_iterative_k_max_limit(self, tmp_path, monkeypatch, capsys):
-        def build(*args):
-            pytest.fail("built an iterative index table past its limit")
-
-        iterative = ("whittle-table", "--params", "0.8,0.8,0.2", "--method", "iterative")
-        monkeypatch.setattr(cli_mod, "whittle_index_iterative", build)
-        assert run_cli(*iterative, "--k-max", "10001") == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: --method iterative builds at most 10001 rows in all, "
-            "got 10002 (1 --params at --k-max 10001)"
-        ]
-        # The closed method keeps the row cap alone.
-        out = tmp_path / "table.csv"
-        assert run_cli("whittle-table", "--params", "0.8,0.8,0.2", "--k-max", "10001",
-                       "--out", str(out)) == 0
-        # A table at the limit is built and written; one age more is refused.
-        monkeypatch.setattr(cli_mod, "whittle_index_iterative",
-                            whittle_mod.whittle_index_iterative)
-        monkeypatch.setattr(cli_mod, "_ITERATIVE_K_MAX", 30)
-        assert run_cli(*iterative, "--k-max", "30", "--out", str(out)) == 0
-        assert len([line for line in out.read_text().splitlines() if line[0].isdigit()]) == 31
-        assert run_cli(*iterative, "--k-max", "31") == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: --method iterative builds at most 31 rows in all, got 32 (1 --params at --k-max 31)"
-        ]
-
-    def test_whittle_table_iterative_row_limit(self, tmp_path, monkeypatch, capsys):
-        # The iterative limit bounds the rows of all --params together, not
-        # one table: two tables of 15 ages fit in 31 rows, two of 16 do not.
-        built = []
-
-        def build(params, k_max):
-            built.append(k_max)
-            return whittle_mod.whittle_index_iterative(params, k_max)
-
-        monkeypatch.setattr(cli_mod, "whittle_index_iterative", build)
-        monkeypatch.setattr(cli_mod, "_ITERATIVE_K_MAX", 30)
-        two = ("whittle-table", "--params", "0.8,0.8,0.2", "--params", "0.2,0.3,0.4",
-               "--method", "iterative")
-        out = tmp_path / "table.csv"
-        assert run_cli(*two, "--k-max", "14", "--out", str(out)) == 0
-        assert len([line for line in out.read_text().splitlines() if line[0].isdigit()]) == 30
-        assert built == [14, 14]
-        assert run_cli(*two, "--k-max", "15") == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: --method iterative builds at most 31 rows in all, "
-            "got 32 (2 --params at --k-max 15)"
-        ]
-        assert built == [14, 14]
